@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import InsufficientPorts
+from .errors import ConfigError, InsufficientPorts
 from .ingest import CalibrationConstants
 from .chipsim import PhaseDistortion, SimConfig, simulate_capture
 from .quality import QualityThresholds, QualityVerdict, classify, classify_losses, variation_stats
@@ -123,7 +123,7 @@ def closed_loop(
     infeasible or empty action, or max_iters.
     """
     if max_iters < 1:
-        raise InsufficientPorts("max_iters must be >= 1")
+        raise ConfigError("max_iters must be >= 1")
     if consts is None:
         consts = CalibrationConstants(
             c_fixed=initial.c_fixed_db,

@@ -40,6 +40,7 @@ from .errors import (
     InsufficientPorts,
     InvariantViolation,
     LengthMismatch,
+    MixedLayout,
     SchemaError,
     TruncatedRecord,
     ZeroChannel,
@@ -53,7 +54,7 @@ from .ingest import (
     write_text_trace,
 )
 from .phase import differential_series, series_to_csv
-from .powercalib import calibrate, canonical_pairs, frames_to_csv
+from .powercalib import calibrate, canonical_pairs, frames_to_csv, pair_label
 from .quality import QualityThresholds, classify, stats_to_csv, variation_stats
 from .svgchart import line_chart
 
@@ -65,7 +66,7 @@ EXIT_CONFIG = 4
 _INPUT_ERRORS = (SchemaError, TruncatedRecord, LengthMismatch, BadPermutation,
                  InvariantViolation)
 _DOMAIN_ERRORS = (AbsentPort, AbsentAgc, AllZeroCsi, EmptyInput, ZeroChannel,
-                  ZeroEntry, InsufficientData, InsufficientPorts)
+                  ZeroEntry, InsufficientData, InsufficientPorts, MixedLayout)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -281,8 +282,7 @@ def _cmd_sweep(args) -> int:
         ["index"]
         + [f"attenuation_port{p + 1}_db" for p in range(n_rx)]
         + [f"amp_std_port{p + 1}_db" for p in range(n_rx)]
-        + [f"phase_std_{lbl}_deg" for lbl in
-           ("2/1", "3/2", "1/3")[: max(0, n_rx * (n_rx - 1) // 2)]]
+        + [f"phase_std_{pair_label(pair)}_deg" for pair in canonical_pairs(n_rx)]
         + [f"rssi_deviation_port{p + 1}_db" for p in range(n_rx)]
         + ["max_ratio_discrepancy_db", "verdict"]
     )
@@ -312,13 +312,11 @@ def _cmd_sweep(args) -> int:
         line_chart(amp_series, title="Amplitude STD vs attenuation",
                    x_label="max attenuation (dB)", y_label="amplitude STD (dB)")
     )
-    n_pairs = results[0].stats.phase_std_deg.shape[0]
     phase_series = [
-        (results[0].stats.pairs[i] and
-         f"pair {results[0].stats.pairs[i][0] + 1}/{results[0].stats.pairs[i][1] + 1}",
+        (f"pair {pair_label(pair)}",
          xs,
          [float(res.stats.pair_phase_std_deg()[i]) for res in results])
-        for i in range(n_pairs)
+        for i, pair in enumerate(results[0].stats.pairs)
     ]
     (out_dir / "phase_std.svg").write_text(
         line_chart(phase_series, title="Phase STD vs attenuation",

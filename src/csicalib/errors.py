@@ -61,6 +61,10 @@ class InsufficientData(CsiCalibError):
     """Not enough samples for the requested statistic."""
 
 
+class MixedLayout(CsiCalibError):
+    """Records of one capture carry different numbers of receive ports."""
+
+
 # --- simulation / control ----------------------------------------------------
 
 class ConfigError(CsiCalibError):

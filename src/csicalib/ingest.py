@@ -268,6 +268,14 @@ _TEXT_FIELDS = (
     "timestamp_low", "bfee_count", "n_rx", "n_tx", "rssi", "noise",
     "agc", "antenna_perm", "rate_flags", "csi",
 )
+_INT_FIELDS = ("timestamp_low", "bfee_count", "n_rx", "n_tx", "noise", "agc", "rate_flags")
+
+
+def _json_int(value, name: str, lineno: int) -> int:
+    # bool is a subclass of int, so only the exact type will do.
+    if type(value) is not int:
+        raise SchemaError(lineno, f"{name} must be a JSON integer, got {json.dumps(value)}")
+    return value
 
 
 def _record_to_obj(record: RawCsiRecord) -> dict:
@@ -311,7 +319,8 @@ def parse_text_trace(text: str) -> list[RawCsiRecord]:
         if missing:
             raise SchemaError(lineno, f"missing fields: {', '.join(missing)}")
         try:
-            n_rx, n_tx = int(obj["n_rx"]), int(obj["n_tx"])
+            ints = {name: _json_int(obj[name], name, lineno) for name in _INT_FIELDS}
+            n_rx, n_tx = ints["n_rx"], ints["n_tx"]
             pairs = obj["csi"]
             if len(pairs) != N_SUBCARRIERS * n_rx * n_tx:
                 raise SchemaError(
@@ -319,19 +328,15 @@ def parse_text_trace(text: str) -> list[RawCsiRecord]:
                     f"csi has {len(pairs)} entries, expected "
                     f"{N_SUBCARRIERS * n_rx * n_tx}",
                 )
-            flat = np.array(
-                [complex(int(re), int(im)) for re, im in pairs], dtype=np.complex128
-            )
+            if not all(type(re) is int and type(im) is int for re, im in pairs):
+                raise SchemaError(lineno, "csi components must be JSON integers")
+            flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
             record = RawCsiRecord(
-                timestamp_low=int(obj["timestamp_low"]),
-                bfee_count=int(obj["bfee_count"]),
-                n_rx=n_rx,
-                n_tx=n_tx,
-                rssi=tuple(int(r) for r in obj["rssi"]),
-                noise=int(obj["noise"]),
-                agc=int(obj["agc"]),
-                antenna_perm=tuple(int(p) for p in obj["antenna_perm"]),
-                rate_flags=int(obj["rate_flags"]),
+                **ints,
+                rssi=tuple(_json_int(r, "rssi", lineno) for r in obj["rssi"]),
+                antenna_perm=tuple(
+                    _json_int(p, "antenna_perm", lineno) for p in obj["antenna_perm"]
+                ),
                 csi=flat.reshape(N_SUBCARRIERS, n_rx, n_tx),
             )
             record.validate()

@@ -8,7 +8,6 @@ offset, so the differential series is the stable observable.
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass, field
 
@@ -16,11 +15,20 @@ import numpy as np
 
 from .errors import AbsentPort, InsufficientData, ZeroEntry
 from .ingest import RawCsiRecord
+from .powercalib import pair_label
+
+
+def _wrap_in_place(a: np.ndarray) -> np.ndarray:
+    np.subtract(180.0, a, out=a)
+    np.mod(a, 360.0, out=a)
+    np.subtract(180.0, a, out=a)
+    return a
 
 
 def wrap_deg(angle_deg):
     """Wrap angles (scalar or array) to (-180, 180]."""
-    return 180.0 - np.mod(180.0 - np.asarray(angle_deg, dtype=float), 360.0)
+    # [()] returns a scalar for scalar input and the array otherwise.
+    return _wrap_in_place(np.array(angle_deg, dtype=float))[()]
 
 
 def raw_phase(csi_entry: complex) -> float:
@@ -30,6 +38,32 @@ def raw_phase(csi_entry: complex) -> float:
     return float(wrap_deg(np.degrees(np.angle(csi_entry))))
 
 
+def _check_ports(record: RawCsiRecord, pair: tuple[int, int]) -> None:
+    for port in pair:
+        if port >= record.n_rx or record.rssi[port] == 0:
+            raise AbsentPort(f"port {port + 1} absent")
+
+
+def _phase_difference(hi: np.ndarray, hj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Wrapped angle(hi) - angle(hj) in degrees, elementwise, any shape.
+
+    Returns (phase_deg, unmeasurable_mask); where either sample is zero the
+    phase is undefined, so the mask is set and the phase holds NaN.
+    """
+    mask = (hi == 0) | (hj == 0)
+    # Every step writes in place: over a whole capture each temporary is
+    # T x 30 floats, and freeing them fragments the heap enough to raise
+    # the peak memory of the CSV writing that follows.
+    phase = np.angle(hi)
+    np.degrees(phase, out=phase)
+    angle_j = np.angle(hj)
+    np.degrees(angle_j, out=angle_j)
+    np.subtract(phase, angle_j, out=phase)
+    _wrap_in_place(phase)
+    phase[mask] = np.nan
+    return phase, mask
+
+
 def differential_phase(
     record: RawCsiRecord, pair: tuple[int, int], tx: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -37,17 +71,9 @@ def differential_phase(
 
     Returns (phase_deg, unmeasurable_mask); masked entries hold NaN.
     """
+    _check_ports(record, pair)
     i, j = pair
-    for port in (i, j):
-        if port >= record.n_rx or record.rssi[port] == 0:
-            raise AbsentPort(f"port {port + 1} absent")
-    hi = record.csi[:, i, tx]
-    hj = record.csi[:, j, tx]
-    mask = (hi == 0) | (hj == 0)
-    phase = np.full(hi.shape, np.nan)
-    ok = ~mask
-    phase[ok] = wrap_deg(np.degrees(np.angle(hi[ok])) - np.degrees(np.angle(hj[ok])))
-    return phase, mask
+    return _phase_difference(record.csi[:, i, tx], record.csi[:, j, tx])
 
 
 @dataclass
@@ -60,24 +86,21 @@ class DifferentialPhaseSeries:
 
     @property
     def label(self) -> str:
-        return f"{self.pair[0] + 1}/{self.pair[1] + 1}"
+        return pair_label(self.pair)
 
 
 def differential_series(
     records: list[RawCsiRecord], pair: tuple[int, int], tx: int = 0
 ) -> DifferentialPhaseSeries:
-    """Stack per-record differential phases into a capture-long series."""
-    phases = []
-    masks = []
+    """Differential phase of every record, computed over the whole capture."""
+    i, j = pair
     for record in records:
-        phase, mask = differential_phase(record, pair, tx=tx)
-        phases.append(phase)
-        masks.append(mask)
-    return DifferentialPhaseSeries(
-        pair=pair,
-        phase_deg=np.array(phases),
-        unmeasurable_mask=np.array(masks),
+        _check_ports(record, pair)
+    phase, mask = _phase_difference(
+        np.array([r.csi[:, i, tx] for r in records]),
+        np.array([r.csi[:, j, tx] for r in records]),
     )
+    return DifferentialPhaseSeries(pair=pair, phase_deg=phase, unmeasurable_mask=mask)
 
 
 def circular_stats(angles_deg) -> dict[str, float]:
@@ -99,15 +122,26 @@ def circular_stats(angles_deg) -> dict[str, float]:
 
 
 def series_to_csv(series_list: list[DifferentialPhaseSeries]) -> str:
-    """CSV export: packet index, subcarrier, pair, phase_deg, unmeasurable."""
+    """CSV export: packet index, subcarrier, pair, phase_deg, unmeasurable.
+
+    Rows end in CRLF, as the stdlib csv writer's; a masked phase is written
+    as an empty value (docs/FORMATS.md).
+    """
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["packet", "subcarrier", "pair", "phase_deg", "unmeasurable"])
+    write = buf.write
+    write("packet,subcarrier,pair,phase_deg,unmeasurable\r\n")
     for series in series_list:
         n_pkt, n_sc = series.phase_deg.shape
+        middles = [f",{k},{series.label}," for k in range(n_sc)]
         for t in range(n_pkt):
-            for k in range(n_sc):
-                masked = bool(series.unmeasurable_mask[t, k])
-                value = "" if masked else f"{series.phase_deg[t, k]:.6f}"
-                writer.writerow([t, k, series.label, value, int(masked)])
+            packet = str(t)
+            for middle, v, masked in zip(
+                middles,
+                series.phase_deg[t].tolist(),
+                series.unmeasurable_mask[t].tolist(),
+            ):
+                if masked:
+                    write(f"{packet}{middle},1\r\n")
+                else:
+                    write(f"{packet}{middle}{v:.6f},0\r\n")
     return buf.getvalue()

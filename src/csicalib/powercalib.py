@@ -8,9 +8,7 @@ per-subcarrier amplitude in dBm.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -165,7 +163,8 @@ def frames_to_csv(frames: list[CalibratedFrame]) -> str:
     """CSV with columns: packet index, port, subcarrier, amplitude_dbm.
 
     The header block lists per-port and total powers of the first frame as
-    comment lines.
+    comment lines.  Rows end in CRLF, as the stdlib csv writer's; a NaN
+    amplitude is written as an empty value (docs/FORMATS.md).
     """
     buf = io.StringIO()
     if frames:
@@ -173,36 +172,23 @@ def frames_to_csv(frames: list[CalibratedFrame]) -> str:
         for port in sorted(first.port_power_dbm):
             buf.write(f"# port_power_dbm,port={port + 1},{first.port_power_dbm[port]:.4f}\n")
         buf.write(f"# total_power_dbm,{first.total_power_dbm:.4f}\n")
-    writer = csv.writer(buf)
-    writer.writerow(["packet", "port", "subcarrier", "tx", "amplitude_dbm"])
+    write = buf.write
+    write("packet,port,subcarrier,tx,amplitude_dbm\r\n")
+    shape = None
     for t, frame in enumerate(frames):
         amp = frame.amplitude_dbm
-        n_sc, n_rx, n_tx = amp.shape
-        for k in range(n_sc):
-            for p in range(n_rx):
-                for tx in range(n_tx):
-                    v = amp[k, p, tx]
-                    writer.writerow([t, p + 1, k, tx, "" if np.isnan(v) else f"{v:.6f}"])
+        if amp.shape != shape:
+            # ",port,subcarrier,tx," of every entry in C order of (k, p, tx).
+            shape = amp.shape
+            n_sc, n_rx, n_tx = shape
+            prefixes = [
+                f",{p + 1},{k},{tx},"
+                for k in range(n_sc) for p in range(n_rx) for tx in range(n_tx)
+            ]
+        packet = str(t)
+        for prefix, v in zip(prefixes, amp.reshape(-1).tolist()):
+            if v != v:  # NaN
+                write(f"{packet}{prefix}\r\n")
+            else:
+                write(f"{packet}{prefix}{v:.6f}\r\n")
     return buf.getvalue()
-
-
-def frames_to_jsonl(frames: list[CalibratedFrame]) -> str:
-    """One calibrated frame per line, sibling of the text trace format."""
-    lines = []
-    for frame in frames:
-        amp = frame.amplitude_dbm
-        lines.append(
-            json.dumps(
-                {
-                    "port_power_dbm": {str(p + 1): v for p, v in frame.port_power_dbm.items()},
-                    "total_power_dbm": frame.total_power_dbm,
-                    "rho": frame.rho,
-                    "amplitude_dbm": [
-                        None if np.isnan(v) else v for v in amp.reshape(-1)
-                    ],
-                    "shape": list(amp.shape),
-                },
-                separators=(",", ":"),
-            )
-        )
-    return "".join(line + "\n" for line in lines)

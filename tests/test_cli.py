@@ -104,6 +104,17 @@ def test_analyze_single_record_exit_code(tmp_path):
                  "--out", str(tmp_path / "ana")]) == 3
 
 
+def test_analyze_mixed_rx_layout_exit_code(tmp_path, capsys):
+    records = [make_record() for _ in range(3)]
+    records.append(make_record(n_rx=2, rssi=(36, 39, 0)))
+    records.append(make_record())
+    trace = tmp_path / "mixed.txt"
+    trace.write_text(write_text_trace(records))
+    assert main(["analyze", "--in", str(trace),
+                 "--out", str(tmp_path / "ana")]) == 3
+    assert "record 3 has n_rx=2" in capsys.readouterr().err
+
+
 def test_simulate_deterministic(tmp_path):
     cfg = _write_config(tmp_path)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -147,6 +158,8 @@ def test_sweep_outputs(tmp_path):
     assert len(lines) == 3
     assert lines[1].endswith("Reliable")
     assert lines[2].endswith("Unstable")
+    assert "phase_std_2/1_deg,phase_std_3/2_deg,phase_std_1/3_deg" in lines[0]
+    assert "pair 3/2" in (out / "phase_std.svg").read_text()
     for name in ("amp_std.svg", "phase_std.svg", "rssi_deviation.svg"):
         svg = (out / name).read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
@@ -168,3 +181,8 @@ def test_control_trajectory(tmp_path):
     steps = [json.loads(line) for line in lines]
     assert steps[-1]["verdict"] == "Reliable"
     assert len(steps) <= 3
+
+
+def test_control_zero_iterations_is_config_error(tmp_path):
+    cfg = _write_config(tmp_path, {"control": {"max_iters": 0}})
+    assert main(["control", "--config", cfg, "--out", str(tmp_path / "ctl")]) == 4

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,3 +151,42 @@ def test_schema_error_on_missing_field():
     text = write_text_trace([make_record()]).replace('"agc"', '"gain"')
     with pytest.raises(SchemaError):
         parse_text_trace(text)
+
+
+def _text_with(line_no, field, value, n_lines=4):
+    objs = [json.loads(write_text_trace([make_record()])) for _ in range(n_lines)]
+    objs[line_no - 1][field] = value
+    return "\n".join(json.dumps(obj) for obj in objs)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rssi", [36.0, 39, 31]),
+    ("rssi", ["40", 39, 31]),
+    ("rssi", [True, 39, 31]),
+    ("agc", 28.0),
+    ("agc", "28"),
+    ("agc", True),
+    ("n_rx", 3.0),
+    ("n_tx", True),
+    ("noise", "-92"),
+    ("timestamp_low", 1.5),
+    ("bfee_count", False),
+    ("rate_flags", None),
+    ("antenna_perm", [0, 1.0, 2]),
+])
+def test_text_parse_rejects_non_integer_field(field, value):
+    with pytest.raises(SchemaError) as exc_info:
+        parse_text_trace(_text_with(3, field, value))
+    assert exc_info.value.line == 3
+    assert field in str(exc_info.value)
+
+
+@pytest.mark.parametrize("pair", [
+    [1.7, 2.2], [1.0, 2], [1, -0.0], [True, 1], [1, False], ["1", 2], [1, None],
+])
+def test_text_parse_rejects_non_integer_csi(pair):
+    csi = [[1, 0]] * (N_SUBCARRIERS * 3)
+    csi[41] = pair
+    with pytest.raises(SchemaError) as exc_info:
+        parse_text_trace(_text_with(2, "csi", csi))
+    assert exc_info.value.line == 2
