@@ -48,6 +48,7 @@ from .errors import (
 )
 from .ingest import (
     CalibrationConstants,
+    common_n_rx,
     encode_binary_trace,
     parse_binary_trace,
     parse_text_trace,
@@ -210,16 +211,14 @@ def _cmd_parse(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     records = _read_trace(args.in_path)
+    n_rx = common_n_rx(records) if records else 0
     consts = _consts_from_args(args)
     frames = [calibrate(r, consts) for r in records]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "amplitudes.csv").write_text(frames_to_csv(frames))
-    if records and records[0].n_rx >= 2:
-        series = [
-            differential_series(records, pair)
-            for pair in canonical_pairs(records[0].n_rx)
-        ]
+    if n_rx >= 2:
+        series = [differential_series(records, pair) for pair in canonical_pairs(n_rx)]
         (out_dir / "phases.csv").write_text(series_to_csv(series))
     _write_manifest(out_dir, args, inputs=[args.in_path])
     return EXIT_OK
@@ -253,6 +252,9 @@ def _cmd_simulate(args) -> int:
     obj = _load_json(args.config)
     seed = _resolve_seed(args)
     config = _sim_config(obj, seed)
+    if not config.quantize:
+        raise ConfigError("simulate writes a trace, whose CSI must be integer-valued: "
+                          "quantize must be true")
     records = simulate_capture(config, _distortion(obj))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -10,7 +10,9 @@ docs/FORMATS.md).
 
 from __future__ import annotations
 
+import functools
 import json
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +21,7 @@ from .errors import (
     BadPermutation,
     InvariantViolation,
     LengthMismatch,
+    MixedLayout,
     SchemaError,
     TruncatedRecord,
 )
@@ -115,35 +118,101 @@ class RawCsiRecord:
             raise InvariantViolation("antenna_perm must be three 2-bit values")
         if sorted(self.antenna_perm[: self.n_rx]) != list(range(self.n_rx)):
             raise InvariantViolation("antenna_perm prefix is not a permutation")
-        re, im = self.csi.real, self.csi.imag
-        if not (np.array_equal(re, np.round(re)) and np.array_equal(im, np.round(im))):
+        # Rounding a complex array rounds both parts; NaN never compares equal.
+        if not (self.csi == np.round(self.csi)).all():
             raise InvariantViolation("csi components must be integer-valued")
-        if re.min(initial=0) < -128 or re.max(initial=0) > 127 or \
-           im.min(initial=0) < -128 or im.max(initial=0) > 127:
+        re, im = self.csi.real, self.csi.imag
+        if min(re.min(), im.min()) < -128 or max(re.max(), im.max()) > 127:
             raise InvariantViolation("csi components must lie in [-128, 127]")
+
+
+def common_n_rx(records: list[RawCsiRecord]) -> int:
+    """The n_rx of a non-empty capture whose records all carry the same ports.
+
+    Raises MixedLayout naming the first record whose n_rx differs from
+    record 0's.
+    """
+    n_rx = records[0].n_rx
+    for t, r in enumerate(records):
+        if r.n_rx != n_rx:
+            raise MixedLayout(f"record {t} has n_rx={r.n_rx}, record 0 has n_rx={n_rx}")
+    return n_rx
 
 
 # --- binary format -----------------------------------------------------------
 
-def _read_s8(payload: bytes, bitpos: int) -> int:
-    byte, rem = divmod(bitpos, 8)
-    v = payload[byte] >> rem
-    if rem:
-        v |= payload[byte + 1] << (8 - rem)
-    v &= 0xFF
-    return v - 256 if v > 127 else v
-
-
-def _write_u8(buf: bytearray, bitpos: int, value: int) -> None:
-    v = value & 0xFF
-    byte, rem = divmod(bitpos, 8)
-    buf[byte] |= (v << rem) & 0xFF
-    if rem:
-        buf[byte + 1] |= v >> (8 - rem)
+# The 20-byte record header: little-endian, two reserved bytes at 6..7.
+_RECORD_HEADER = struct.Struct("<IHxxBBBBBbBBHH")
+# The same, after the frame length's two bytes (big-endian) and the code byte.
+_FRAME_AND_HEADER = struct.Struct("<BBBIHxxBBBBBbBBHH")
 
 
 def _decode_perm(antenna_sel: int) -> tuple[int, int, int]:
     return (antenna_sel & 0x3, (antenna_sel >> 2) & 0x3, (antenna_sel >> 4) & 0x3)
+
+
+#: (n_rx, antenna_sel) -> antenna_perm, for every selection byte whose first
+#: n_rx entries are a permutation of 0..n_rx-1.
+_VALID_PERMS = {
+    (n_rx, sel): _decode_perm(sel)
+    for n_rx in (1, 2, 3)
+    for sel in range(256)
+    if sorted(_decode_perm(sel)[:n_rx]) == list(range(n_rx))
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _component_table(n_rx: int, n_tx: int, perm: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Where each 8-bit CSI component lies in the payload of one layout.
+
+    perm is the first n_rx entries of antenna_perm.  Components are taken
+    in the order of a (30, n_rx, n_tx, 2) array: csi[k, port, t], real
+    before imaginary.  Returns (lo, shift): a component is bits
+    shift..shift+7 of the little-endian byte pair payload[lo],
+    payload[lo + 1].  The last component starts at bit 2 of its byte, so
+    lo + 1 never reaches past the payload.
+    """
+    per_sc = 2 * n_rx * n_tx
+    k = np.arange(N_SUBCARRIERS).reshape(-1, 1, 1, 1)
+    j = np.arange(per_sc).reshape(n_rx, n_tx, 2)
+    # In the payload each subcarrier skips 3 bits, then runs over streams.
+    stream_bits = 3 * (k + 1) + 8 * (per_sc * k + j)
+    bitpos = np.empty_like(stream_bits)
+    bitpos[:, list(perm)] = stream_bits  # stream s landed on port perm[s]
+    bitpos = bitpos.reshape(-1)
+    lo, shift = bitpos // 8, (bitpos % 8).astype(np.uint16)
+    # Shared by every caller through the cache (at most 27 entries).
+    lo.flags.writeable = shift.flags.writeable = False
+    return lo, shift
+
+
+def _unpack_group(view: np.ndarray, offsets: list[int], n_rx: int, n_tx: int,
+                  perm: tuple[int, ...]) -> np.ndarray:
+    """CSI components of payloads at ``offsets``, int8 (G, 30, n_rx, n_tx, 2)."""
+    lo, shift = _component_table(n_rx, n_tx, perm)
+    span = np.arange(csi_payload_len(n_rx, n_tx))
+    payload = view[np.asarray(offsets)[:, None] + span].astype(np.uint16)
+    word = payload[:, lo + 1]
+    word <<= 8
+    word |= payload[:, lo]
+    word >>= shift
+    return word.astype(np.uint8).view(np.int8).reshape(-1, N_SUBCARRIERS, n_rx, n_tx, 2)
+
+
+def _pack_group(components: np.ndarray, n_rx: int, n_tx: int,
+                perm: tuple[int, ...]) -> np.ndarray:
+    """Inverse of _unpack_group: uint8 payloads (G, payload_len)."""
+    lo, shift = _component_table(n_rx, n_tx, perm)
+    word = components.reshape(len(components), -1).view(np.uint8).astype(np.uint16)
+    word <<= shift
+    payload = np.zeros((len(components), csi_payload_len(n_rx, n_tx)), dtype=np.uint8)
+    # Components start at least 8 bits apart, so no two share a low byte
+    # (or a high byte) and neither indexed write below repeats an index.
+    # Skip and padding bits stay zero.
+    payload[:, lo] = word.astype(np.uint8)
+    word >>= 8
+    payload[:, lo + 1] |= word.astype(np.uint8)
+    return payload
 
 
 def parse_binary_trace(data: bytes) -> list[RawCsiRecord]:
@@ -151,115 +220,91 @@ def parse_binary_trace(data: bytes) -> list[RawCsiRecord]:
 
     Raises TruncatedRecord when a frame claims more bytes than remain,
     LengthMismatch when the declared CSI length disagrees with the layout,
-    and BadPermutation for an invalid antenna selection byte.
+    and BadPermutation for an invalid antenna selection byte.  All frames
+    are checked in one pass before any payload is decoded; the payloads of
+    each (n_rx, n_tx) layout and permutation are then decoded together.
     """
-    records: list[RawCsiRecord] = []
+    headers: list[tuple] = []
+    # (n_rx, n_tx, antenna_perm[:n_rx]) -> (record indices, payload offsets)
+    groups: dict[tuple, tuple[list[int], list[int]]] = {}
     off = 0
     total = len(data)
     while off < total:
         if total - off < 3:
             raise TruncatedRecord(f"dangling {total - off} byte(s) at offset {off}")
-        frame_len = int.from_bytes(data[off : off + 2], "big")
-        code = data[off + 2]
-        if frame_len < 1 or off + 2 + frame_len > total:
+        frame_len = (data[off] << 8) | data[off + 1]
+        end = off + 2 + frame_len
+        if frame_len < 1 or end > total:
             raise TruncatedRecord(f"frame at offset {off} exceeds input")
-        body = data[off + 3 : off + 2 + frame_len]
-        off += 2 + frame_len
+        code = data[off + 2]
+        body = off + 3
+        off = end
         if code != CSI_RECORD_CODE:
             continue
-        records.append(_parse_record_body(body))
-    return records
+        if end - body < _HEADER_BYTES:
+            raise TruncatedRecord("record body shorter than fixed header")
+        (timestamp_low, bfee_count, n_rx, n_tx, rssi1, rssi2, rssi3, noise, agc,
+         antenna_sel, declared_len, rate_flags) = _RECORD_HEADER.unpack_from(data, body)
+        if not (1 <= n_rx <= 3 and 1 <= n_tx <= 3):
+            raise InvariantViolation(f"n_rx={n_rx}, n_tx={n_tx} out of range")
+        expected = csi_payload_len(n_rx, n_tx)
+        if declared_len != expected:
+            raise LengthMismatch(f"declared {declared_len}, computed {expected}")
+        if end - body < _HEADER_BYTES + declared_len:
+            raise TruncatedRecord("CSI payload cut short")
+        perm = _VALID_PERMS.get((n_rx, antenna_sel))
+        if perm is None:
+            raise BadPermutation(f"antenna_sel 0x{antenna_sel:02x} for n_rx={n_rx}")
+        index, offsets = groups.setdefault((n_rx, n_tx, perm[:n_rx]), ([], []))
+        index.append(len(headers))
+        offsets.append(body + _HEADER_BYTES)
+        headers.append((timestamp_low, bfee_count, n_rx, n_tx, (rssi1, rssi2, rssi3),
+                        noise, agc, perm, rate_flags))
 
-
-def _parse_record_body(body: bytes) -> RawCsiRecord:
-    if len(body) < _HEADER_BYTES:
-        raise TruncatedRecord("record body shorter than fixed header")
-    timestamp_low = int.from_bytes(body[0:4], "little")
-    bfee_count = int.from_bytes(body[4:6], "little")
-    n_rx = body[8]
-    n_tx = body[9]
-    rssi = (body[10], body[11], body[12])
-    noise = body[13] - 256 if body[13] > 127 else body[13]
-    agc = body[14]
-    antenna_sel = body[15]
-    declared_len = int.from_bytes(body[16:18], "little")
-    rate_flags = int.from_bytes(body[18:20], "little")
-
-    if not (1 <= n_rx <= 3 and 1 <= n_tx <= 3):
-        raise InvariantViolation(f"n_rx={n_rx}, n_tx={n_tx} out of range")
-    expected = csi_payload_len(n_rx, n_tx)
-    if declared_len != expected:
-        raise LengthMismatch(f"declared {declared_len}, computed {expected}")
-    if len(body) < _HEADER_BYTES + declared_len:
-        raise TruncatedRecord("CSI payload cut short")
-    perm = _decode_perm(antenna_sel)
-    if sorted(perm[:n_rx]) != list(range(n_rx)):
-        raise BadPermutation(f"antenna_sel 0x{antenna_sel:02x} for n_rx={n_rx}")
-
-    payload = body[_HEADER_BYTES : _HEADER_BYTES + declared_len]
-    csi = np.zeros((N_SUBCARRIERS, n_rx, n_tx), dtype=np.complex128)
-    bitpos = 0
-    for k in range(N_SUBCARRIERS):
-        bitpos += 3
-        for stream in range(n_rx):
-            row = perm[stream]
-            for tx in range(n_tx):
-                re = _read_s8(payload, bitpos)
-                im = _read_s8(payload, bitpos + 8)
-                bitpos += 16
-                csi[k, row, tx] = complex(re, im)
-
-    return RawCsiRecord(
-        timestamp_low=timestamp_low,
-        bfee_count=bfee_count,
-        n_rx=n_rx,
-        n_tx=n_tx,
-        rssi=rssi,
-        noise=noise,
-        agc=agc,
-        antenna_perm=perm,
-        rate_flags=rate_flags,
-        csi=csi,
-    )
+    view = np.frombuffer(data, dtype=np.uint8)
+    csi: list[np.ndarray | None] = [None] * len(headers)
+    for layout, (index, offsets) in groups.items():
+        for i, components in zip(index, _unpack_group(view, offsets, *layout)):
+            c = np.empty(components.shape[:-1], dtype=np.complex128)
+            c.view(np.float64)[...] = components.reshape(c.shape[:-1] + (-1,))
+            csi[i] = c
+    return [RawCsiRecord(*header, csi=c) for header, c in zip(headers, csi)]
 
 
 def encode_binary_trace(records: list[RawCsiRecord]) -> bytes:
     """Exact inverse of parse_binary_trace at the record level."""
-    out = bytearray()
-    for record in records:
+    # (n_rx, n_tx, antenna_perm[:n_rx]) -> record indices
+    groups: dict[tuple, list[int]] = {}
+    starts = []
+    size = 0
+    for i, record in enumerate(records):
         record.validate()
-        payload_len = csi_payload_len(record.n_rx, record.n_tx)
-        payload = bytearray(payload_len)
+        layout = (record.n_rx, record.n_tx, tuple(record.antenna_perm[: record.n_rx]))
+        groups.setdefault(layout, []).append(i)
+        starts.append(size)
+        size += 3 + _HEADER_BYTES + csi_payload_len(record.n_rx, record.n_tx)
+
+    out = np.zeros(size, dtype=np.uint8)
+    for record, start in zip(records, starts):
         perm = record.antenna_perm
-        bitpos = 0
-        for k in range(N_SUBCARRIERS):
-            bitpos += 3
-            for stream in range(record.n_rx):
-                row = perm[stream]
-                for tx in range(record.n_tx):
-                    entry = record.csi[k, row, tx]
-                    _write_u8(payload, bitpos, int(entry.real))
-                    _write_u8(payload, bitpos + 8, int(entry.imag))
-                    bitpos += 16
-
-        antenna_sel = perm[0] | (perm[1] << 2) | (perm[2] << 4)
-        header = bytearray()
-        header += record.timestamp_low.to_bytes(4, "little")
-        header += record.bfee_count.to_bytes(2, "little")
-        header += b"\x00\x00"
-        header += bytes(
-            [record.n_rx, record.n_tx, *record.rssi, record.noise & 0xFF,
-             record.agc, antenna_sel]
+        payload_len = csi_payload_len(record.n_rx, record.n_tx)
+        frame_len = 1 + _HEADER_BYTES + payload_len
+        _FRAME_AND_HEADER.pack_into(
+            out, start, frame_len >> 8, frame_len & 0xFF, CSI_RECORD_CODE,
+            record.timestamp_low, record.bfee_count, record.n_rx, record.n_tx,
+            *record.rssi, record.noise, record.agc,
+            perm[0] | (perm[1] << 2) | (perm[2] << 4),
+            payload_len, record.rate_flags,
         )
-        header += payload_len.to_bytes(2, "little")
-        header += record.rate_flags.to_bytes(2, "little")
-
-        body = bytes(header) + bytes(payload)
-        frame_len = 1 + len(body)
-        out += frame_len.to_bytes(2, "big")
-        out.append(CSI_RECORD_CODE)
-        out += body
-    return bytes(out)
+    for layout, index in groups.items():
+        components = np.empty((len(index), N_SUBCARRIERS, *layout[:2], 2), dtype=np.int8)
+        for g, i in enumerate(index):
+            components[g, ..., 0] = records[i].csi.real
+            components[g, ..., 1] = records[i].csi.imag
+        for i, payload in zip(index, _pack_group(components, *layout)):
+            start = starts[i] + 3 + _HEADER_BYTES
+            out[start : start + payload.size] = payload
+    return out.tobytes()
 
 
 # --- text format -------------------------------------------------------------
@@ -290,7 +335,7 @@ def _record_to_obj(record: RawCsiRecord) -> dict:
         "agc": record.agc,
         "antenna_perm": list(record.antenna_perm),
         "rate_flags": record.rate_flags,
-        "csi": [[int(z.real), int(z.imag)] for z in flat],
+        "csi": np.stack((flat.real, flat.imag), axis=1).astype(np.int64).tolist(),
     }
 
 

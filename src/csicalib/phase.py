@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AbsentPort, InsufficientData, ZeroEntry
-from .ingest import RawCsiRecord
+from .ingest import N_SUBCARRIERS, RawCsiRecord
 from .powercalib import pair_label
 
 
@@ -96,6 +96,10 @@ def differential_series(
     i, j = pair
     for record in records:
         _check_ports(record, pair)
+    if not records:
+        phase = np.empty((0, N_SUBCARRIERS))
+        return DifferentialPhaseSeries(pair=pair, phase_deg=phase,
+                                       unmeasurable_mask=phase.astype(bool))
     phase, mask = _phase_difference(
         np.array([r.csi[:, i, tx] for r in records]),
         np.array([r.csi[:, j, tx] for r in records]),

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientData, MixedLayout
-from .ingest import CalibrationConstants, RawCsiRecord
+from .errors import InsufficientData
+from .ingest import CalibrationConstants, RawCsiRecord, common_n_rx
 from .phase import circular_stats, differential_series
 from .powercalib import calibrate, canonical_pairs, pair_label
 
@@ -101,10 +101,7 @@ def variation_stats(
     """Amplitude/phase variation over a capture of a static channel."""
     if len(records) < 2:
         raise InsufficientData("need at least two records")
-    n_rx = records[0].n_rx
-    for t, r in enumerate(records):
-        if r.n_rx != n_rx:
-            raise MixedLayout(f"record {t} has n_rx={r.n_rx}, record 0 has n_rx={n_rx}")
+    n_rx = common_n_rx(records)
     if pairs is None:
         pairs = canonical_pairs(n_rx)
 

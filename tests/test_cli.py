@@ -115,6 +115,21 @@ def test_analyze_mixed_rx_layout_exit_code(tmp_path, capsys):
     assert "record 3 has n_rx=2" in capsys.readouterr().err
 
 
+def test_calibrate_and_analyze_reject_mixed_rx_layout_alike(tmp_path, capsys):
+    # Record 0 has two ports, so a check of record 0 alone would pass.
+    records = [make_record(n_rx=2, rssi=(36, 39, 0), antenna_perm=(0, 1, 0))]
+    records += [make_record() for _ in range(2)]
+    trace = tmp_path / "mixed.txt"
+    trace.write_text(write_text_trace(records))
+    errors = []
+    for command in ("calibrate", "analyze"):
+        out = tmp_path / command
+        assert main([command, "--in", str(trace), "--out", str(out)]) == 3
+        assert not out.exists()
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "error: record 1 has n_rx=3, record 0 has n_rx=2\n"
+
+
 def test_simulate_deterministic(tmp_path):
     cfg = _write_config(tmp_path)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -148,6 +163,15 @@ def test_simulate_bad_config_exit_code(tmp_path):
     cfg.write_text("not json")
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 4
+
+
+def test_simulate_unquantized_is_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"sim": {"attenuation_db": [33, 30, 36],
+                                           "n_packets": 20, "quantize": False}})
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+    assert not out.exists()
+    assert "quantize must be true" in capsys.readouterr().err
 
 
 def test_sweep_outputs(tmp_path):

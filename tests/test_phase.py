@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csicalib import circular_stats, differential_phase, raw_phase, wrap_deg
+from csicalib import (
+    circular_stats,
+    differential_phase,
+    differential_series,
+    raw_phase,
+    wrap_deg,
+)
 from csicalib.errors import AbsentPort, InsufficientData, ZeroEntry
+from csicalib.phase import series_to_csv
 
 from conftest import make_record
 
@@ -83,6 +90,14 @@ def test_differential_absent_port():
     record = make_record(rssi=(40, 0, 31))
     with pytest.raises(AbsentPort):
         differential_phase(record, (1, 0))
+
+
+def test_empty_differential_series_writes_header_only():
+    series = differential_series([], (1, 0))
+    assert series.phase_deg.shape == series.unmeasurable_mask.shape == (0, 30)
+    assert series.phase_deg.dtype == np.float64
+    assert series.unmeasurable_mask.dtype == np.bool_
+    assert series_to_csv([series]) == "packet,subcarrier,pair,phase_deg,unmeasurable\r\n"
 
 
 def test_circular_stats_constant():
