@@ -25,7 +25,9 @@ class ControlSettings:
     balance_target_db is the spread the controller balances to when it has
     to act (tighter than the 10 dB acceptance bound to leave margin for
     the ~2 dB RSSI estimation error).  The tx/adc/agc fields describe the
-    chain so the controller can keep the adaptive gain off its lower clamp.
+    chain so the controller can keep the adaptive gain off its lower clamp;
+    closed_loop replaces all four with those of the SimConfig it controls,
+    so they only matter to a direct call of recommend.
     """
 
     balance_target_db: float = 3.0
@@ -130,6 +132,15 @@ def closed_loop(
             agc_min=initial.agc_min_db,
             agc_max=initial.agc_max_db,
         )
+    # The loop changes only attenuations and seeds, so the chain stays
+    # initial's throughout.
+    settings = replace(
+        settings,
+        tx_power_dbm=initial.tx_power_dbm,
+        adc_target_dbm=initial.adc_target_dbm,
+        agc_min_db=initial.agc_min_db,
+        agc_max_db=initial.agc_max_db,
+    )
     config = initial
     steps: list[LoopStep] = []
     for iteration in range(max_iters):

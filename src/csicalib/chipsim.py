@@ -44,7 +44,8 @@ class SimConfig:
     noise_floor_dbm is the aggregate in-band noise power per port, spread
     evenly over the 30 subcarriers; None disables noise.  quantize=False is
     a diagnostic mode that skips CSI rounding/clipping and RSSI rounding so
-    the analysis pipeline can be checked against exact values.
+    the analysis pipeline can be checked against exact values; its float
+    RSSI fails RawCsiRecord.validate, so such records cannot be written out.
     """
 
     tx_power_dbm: float = -3.0
@@ -105,12 +106,21 @@ def _unit_channel(config: SimConfig) -> np.ndarray:
 def simulate_capture(
     config: SimConfig, distortion: PhaseDistortion | None = None
 ) -> list[RawCsiRecord]:
-    """Produce a deterministic capture of records for the configured chain."""
+    """Produce a deterministic capture of records for the configured chain.
+
+    The output is a function of the seed through one fixed draw order, which
+    the golden digests in tests/test_chipsim_reference.py pin: per packet,
+    the phase jitter (only when pdd_jitter_deg is set), then the real parts
+    of the (n_rx, 30) noise, then the imaginary parts.  Noise is drawn even
+    when noise_floor_dbm is None.  The whole capture is computed as
+    (T, n_rx, 30) arrays; each record's csi is a view into them.
+    """
     config.validate()
     if distortion is None:
         distortion = PhaseDistortion()
     rng = np.random.default_rng(config.seed)
     n_rx = len(config.attenuation_db)
+    n_packets = config.n_packets
     u = _unit_channel(config)  # (K,)
     k = np.arange(N_SUBCARRIERS)
 
@@ -132,59 +142,75 @@ def simulate_capture(
     kappa = config.adc_ref_amplitude * math.sqrt(N_SUBCARRIERS) / \
         10.0 ** (config.adc_target_dbm / 20.0)
 
+    # One row of normals per packet, in the per-packet draw order.  Every
+    # step below repeats the operations of a per-packet computation, in
+    # place where it can, so the records are bit-identical to it (signed
+    # zeros included).
+    n_jitter = 1 if distortion.pdd_jitter_deg else 0
+    n_noise = n_rx * N_SUBCARRIERS
+    draws = rng.standard_normal((n_packets, n_jitter + 2 * n_noise))
+    shape = (n_packets, n_rx, N_SUBCARRIERS)
+
+    noise = np.multiply(draws[:, n_jitter + n_noise:].reshape(shape), 1j)
+    noise += draws[:, n_jitter : n_jitter + n_noise].reshape(shape)
+    noise *= noise_scale
+
+    t = np.arange(n_packets, dtype=np.float64)[:, None]
+    common = distortion.sfo_slope_deg * k * t  # (T, K)
+    common += distortion.cfo_rate_deg * t
+    # Generator.normal(0, s) is 0 + s * z for one standard normal z.
+    common += 0.0 + distortion.pdd_jitter_deg * draws[:, :1] if n_jitter else 0.0
+    del draws
+    np.deg2rad(common, out=common)
     delta = np.deg2rad(np.asarray(distortion.delta_deg[:n_rx]))
-    records: list[RawCsiRecord] = []
-    for t in range(config.n_packets):
-        common = (
-            distortion.cfo_rate_deg * t
-            + distortion.sfo_slope_deg * k * t
-            + (rng.normal(0.0, distortion.pdd_jitter_deg) if distortion.pdd_jitter_deg else 0.0)
-        )
-        rot = np.exp(1j * (np.deg2rad(common)[None, :] + delta[:, None]))
-        noise = noise_scale * (
-            rng.standard_normal((n_rx, N_SUBCARRIERS))
-            + 1j * rng.standard_normal((n_rx, N_SUBCARRIERS))
-        )
-        y = x * rot + noise  # (n_rx, K)
+    y = np.multiply(common[:, None, :] + delta[:, None], 1j)
+    np.exp(y, out=y)
+    y *= x
+    y += noise
+    del noise
 
-        p_meas = 10.0 * np.log10(np.sum(np.abs(y) ** 2, axis=1))
-        agc = int(
-            np.clip(
-                round(config.adc_target_dbm - float(p_meas.max())),
-                config.agc_min_db,
-                config.agc_max_db,
-            )
-        )
-        gain = kappa * 10.0 ** (agc / 20.0)
-        counts = gain * y
-        if config.quantize:
-            re = np.clip(np.round(counts.real), -128, 127)
-            im = np.clip(np.round(counts.imag), -128, 127)
-            counts = re + 1j * im
-            rssi = tuple(
-                int(np.clip(round(float(p) + agc + config.c_fixed_db), 0, 255))
-                for p in p_meas
-            )
-        else:
-            rssi = tuple(float(p) + agc + config.c_fixed_db for p in p_meas)
-        rssi = tuple(rssi) + (0,) * (3 - n_rx)
+    power = np.abs(y)
+    np.square(power, out=power)
+    p_meas = np.log10(power.sum(axis=2))  # (T, n_rx)
+    p_meas *= 10.0
+    del power
+    agc = [
+        int(min(max(round(config.adc_target_dbm - m), config.agc_min_db), config.agc_max_db))
+        for m in p_meas.max(axis=1).tolist()
+    ]
+    y *= np.array([kappa * 10.0 ** (a / 20.0) for a in agc])[:, None, None]
 
-        csi = counts.T[:, :, None]  # (K, n_rx, 1)
-        records.append(
-            RawCsiRecord(
-                timestamp_low=(t * 1024) & 0xFFFFFFFF,
-                bfee_count=t & 0xFFFF,
-                n_rx=n_rx,
-                n_tx=1,
-                rssi=rssi,
-                noise=-92,
-                agc=agc,
-                antenna_perm=(0, 1, 2),
-                rate_flags=0x0100,
-                csi=csi,
-            )
+    readout = p_meas + np.array(agc, dtype=np.float64)[:, None]
+    readout += config.c_fixed_db
+    if config.quantize:
+        re = np.round(y.real)
+        np.clip(re, -128, 127, out=re)
+        im = np.round(y.imag)
+        np.clip(im, -128, 127, out=im)
+        np.multiply(im, 1j, out=y)
+        y += re
+        del re, im
+        np.round(readout, out=readout)
+        np.clip(readout, 0, 255, out=readout)
+        readout = readout.astype(np.int64)
+    pad = (0,) * (3 - n_rx)
+    rssi = [tuple(row) + pad for row in readout.tolist()]
+
+    return [
+        RawCsiRecord(
+            timestamp_low=(i * 1024) & 0xFFFFFFFF,
+            bfee_count=i & 0xFFFF,
+            n_rx=n_rx,
+            n_tx=1,
+            rssi=rssi[i],
+            noise=-92,
+            agc=agc[i],
+            antenna_perm=(0, 1, 2),
+            rate_flags=0x0100,
+            csi=counts.T[:, :, None],  # (K, n_rx, 1)
         )
-    return records
+        for i, counts in enumerate(y)
+    ]
 
 
 @dataclass

@@ -344,6 +344,13 @@ def _cmd_control(args) -> int:
     config = _sim_config(obj, seed)
     control = dict(obj.get("control", {}))
     max_iters = int(control.pop("max_iters", 8))
+    # closed_loop takes the chain from the sim section; a second copy here
+    # would be ignored, so refuse it.
+    chain = [k for k in ("tx_power_dbm", "adc_target_dbm", "agc_min_db", "agc_max_db")
+             if k in control]
+    if chain:
+        raise ConfigError(f"control section cannot set {', '.join(chain)}; "
+                          "set them in the sim section")
     settings = _dataclass_from(ControlSettings, control, "control")
     steps = closed_loop(
         config,

@@ -53,12 +53,18 @@ class CalibrationConstants:
             raise InvariantViolation("agc_min must be < agc_max")
 
 
+#: Header fields held as Python ints; rssi and antenna_perm hold ints too.
+_INT_FIELDS = ("timestamp_low", "bfee_count", "n_rx", "n_tx", "noise", "agc", "rate_flags")
+
+
 @dataclass(eq=False)
 class RawCsiRecord:
     """One received packet's nominal readouts plus the digitized CSI matrix.
 
     csi has shape (30, n_rx, n_tx) with integer-valued real/imag components
     in [-128, 127].  rssi entries of 0 mark an absent port, never 0 dB.
+    The header fields and the rssi and antenna_perm entries are Python
+    ints (not bool, not numpy integers); validate() enforces all of this.
     """
 
     timestamp_low: int
@@ -93,6 +99,17 @@ class RawCsiRecord:
         return [p for p in range(self.n_rx) if self.rssi[p] != 0]
 
     def validate(self) -> None:
+        # Python ints only, as the text parser reads them: a float or a
+        # numpy integer would fail later, in struct or json.
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise InvariantViolation(f"{name} must be an int, got {type(value).__name__}")
+        for name in ("rssi", "antenna_perm"):
+            for value in getattr(self, name):
+                if type(value) is not int:
+                    raise InvariantViolation(
+                        f"{name} entries must be ints, got {type(value).__name__}")
         if self.csi.shape != (N_SUBCARRIERS, self.n_rx, self.n_tx):
             raise InvariantViolation(f"csi shape {self.csi.shape} does not match "
                                      f"(30, {self.n_rx}, {self.n_tx})")
@@ -313,7 +330,6 @@ _TEXT_FIELDS = (
     "timestamp_low", "bfee_count", "n_rx", "n_tx", "rssi", "noise",
     "agc", "antenna_perm", "rate_flags", "csi",
 )
-_INT_FIELDS = ("timestamp_low", "bfee_count", "n_rx", "n_tx", "noise", "agc", "rate_flags")
 
 
 def _json_int(value, name: str, lineno: int) -> int:

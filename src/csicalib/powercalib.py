@@ -108,15 +108,22 @@ def check_ratio_consistency(
     present = record.present_ports()
     if len(present) < 2:
         raise AbsentPort("need at least two present ports")
+    # log10 of each port's CSI power, None for an all-zero row.  Each row
+    # is C-contiguous, so its sum runs in the order, and gives the bits, of
+    # the sum csi_power_ratio_db takes over record.csi[:, p, :].
+    rows = np.ascontiguousarray(record.csi.transpose(1, 0, 2)).reshape(record.n_rx, -1)
+    power = np.abs(rows)
+    power *= power
+    log_power = [math.log10(s) if s != 0.0 else None for s in power.sum(axis=1).tolist()]
     results = []
     for j, i in canonical_pairs(record.n_rx):
         if i not in present or j not in present:
             continue
         rssi_ratio = float(record.rssi[j] - record.rssi[i])
-        try:
-            csi_ratio = csi_power_ratio_db(record.csi[:, j, :], record.csi[:, i, :])
-        except ZeroChannel:
+        if log_power[j] is None or log_power[i] is None:
             csi_ratio = math.nan
+        else:
+            csi_ratio = 10.0 * (log_power[j] - log_power[i])
         results.append(
             PairRatio(
                 pair=(j, i),

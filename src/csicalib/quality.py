@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientData
-from .ingest import CalibrationConstants, RawCsiRecord, common_n_rx
+from .ingest import N_SUBCARRIERS, CalibrationConstants, RawCsiRecord, common_n_rx
 from .phase import circular_stats, differential_series
 from .powercalib import calibrate, canonical_pairs, pair_label
 
@@ -132,12 +132,13 @@ def variation_stats(
                 phase_mean[pi, k] = stats["mean_deg"]
                 phase_std[pi, k] = stats["std_deg"]
 
-    zero_fraction = np.array(
-        [
-            np.mean([np.mean(r.csi[:, p, :] == 0) for r in records])
-            for p in range(n_rx)
-        ]
-    )
+    # Per port, the mean over records of each record's fraction of zero
+    # entries.  Records may differ in n_tx, so their csi are joined along
+    # the tx axis and each record's columns summed back with reduceat.
+    n_tx = np.array([r.n_tx for r in records])
+    zeros = (np.concatenate([r.csi for r in records], axis=2) == 0).sum(axis=0)
+    per_record = np.add.reduceat(zeros, np.cumsum(n_tx) - n_tx, axis=1)
+    zero_fraction = (per_record / (N_SUBCARRIERS * n_tx)).mean(axis=1)  # (n_rx,)
 
     port_power = {}
     for p in range(n_rx):

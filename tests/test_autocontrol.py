@@ -164,3 +164,19 @@ def test_control_action_serialization():
         "feasible": True,
         "predicted_class": "Reliable",
     }
+
+
+@pytest.mark.parametrize("tx_power_dbm, att, final_cls", [
+    (0.0, 30.0, "Reliable"),   # AGC pinned low: lifted by 2 dB, then Reliable
+    (0.0, 62.0, "Unstable"),   # beyond the 60 dB ceiling; was read as 59 dB
+    (-6.0, 58.0, "Reliable"),  # within the ceiling; was read as 61 dB
+])
+def test_closed_loop_uses_the_controlled_chain(tx_power_dbm, att, final_cls):
+    initial = SimConfig(tx_power_dbm=tx_power_dbm, attenuation_db=(att, att, att),
+                        n_packets=40, seed=0)
+    steps = closed_loop(initial, REALISTIC_DISTORTION)
+    for step in steps:
+        for est, true in zip(step.estimated_loss_db, step.config.attenuation_db):
+            assert est == pytest.approx(true, abs=1.5)
+    assert steps[-1].verdict.cls == final_cls
+    assert steps[-1].action.feasible == (final_cls != "Unstable")

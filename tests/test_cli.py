@@ -210,3 +210,11 @@ def test_control_trajectory(tmp_path):
 def test_control_zero_iterations_is_config_error(tmp_path):
     cfg = _write_config(tmp_path, {"control": {"max_iters": 0}})
     assert main(["control", "--config", cfg, "--out", str(tmp_path / "ctl")]) == 4
+
+
+def test_control_chain_fields_are_config_error(tmp_path, capsys):
+    # The loop takes the chain from the sim section, so a control-section
+    # copy would be silently ignored.
+    cfg = _write_config(tmp_path, {"control": {"tx_power_dbm": 0.0}})
+    assert main(["control", "--config", cfg, "--out", str(tmp_path / "ctl")]) == 4
+    assert "tx_power_dbm" in capsys.readouterr().err

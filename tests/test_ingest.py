@@ -190,3 +190,23 @@ def test_text_parse_rejects_non_integer_csi(pair):
     with pytest.raises(SchemaError) as exc_info:
         parse_text_trace(_text_with(2, "csi", csi))
     assert exc_info.value.line == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("timestamp_low", 5.0),
+    ("agc", np.int64(40)),
+    ("noise", True),
+    ("n_rx", np.int8(3)),
+    ("rssi", (36, 39.0, 31)),
+    ("rssi", (True, 39, 31)),
+    ("antenna_perm", (0, np.int64(1), 2)),
+])
+def test_validate_requires_python_ints(field, value):
+    # Each used to pass validate() and then fail in struct or json.
+    record = make_record(**{field: value})
+    with pytest.raises(InvariantViolation, match=field):
+        record.validate()
+    with pytest.raises(InvariantViolation, match=field):
+        encode_binary_trace([record])
+    with pytest.raises(InvariantViolation, match=field):
+        write_text_trace([record])

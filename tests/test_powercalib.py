@@ -13,6 +13,7 @@ from csicalib import (
     total_power,
 )
 from csicalib.errors import AbsentPort, AllZeroCsi, EmptyInput, ZeroChannel
+from csicalib.powercalib import canonical_pairs
 
 from conftest import make_record, random_record
 
@@ -191,3 +192,39 @@ def test_calibrate_no_present_ports(consts):
     record = make_record(rssi=(0, 0, 0))
     with pytest.raises(AbsentPort):
         calibrate(record, consts)
+
+
+def _ref_ratio_consistency(record):
+    # Two power sums per pair, as csi_power_ratio_db takes them.
+    out = []
+    for j, i in canonical_pairs(record.n_rx):
+        if record.rssi[i] == 0 or record.rssi[j] == 0:
+            continue
+        rssi_ratio = float(record.rssi[j] - record.rssi[i])
+        try:
+            csi_ratio = csi_power_ratio_db(record.csi[:, j, :], record.csi[:, i, :])
+        except ZeroChannel:
+            csi_ratio = math.nan
+        out.append(((j, i), rssi_ratio, csi_ratio, csi_ratio - rssi_ratio))
+    return out
+
+
+def test_ratio_consistency_matches_per_pair_sums(consts):
+    rng = np.random.default_rng(21)
+    checked = 0
+    for _ in range(300):
+        record = random_record(rng)
+        # Non-integer components, so the order of summation shows in the bits.
+        record.csi *= rng.uniform(0.1, 3.0, record.csi.shape)
+        if rng.random() < 0.3:
+            record.csi[:, int(rng.integers(record.n_rx)), :] = 0
+        if record.n_rx == 3 and rng.random() < 0.2:
+            record.rssi = (record.rssi[0], 0, record.rssi[2])
+        if len(record.present_ports()) < 2:
+            continue
+        got = [(pr.pair, pr.rssi_ratio_db, pr.csi_ratio_db, pr.discrepancy_db)
+               for pr in check_ratio_consistency(record, consts)]
+        # repr compares floats bit for bit and lets NaN equal NaN.
+        assert repr(got) == repr(_ref_ratio_consistency(record))
+        checked += 1
+    assert checked > 150

@@ -150,3 +150,23 @@ def test_stats_to_csv_shape(consts):
     assert len(lines) == 2
     assert lines[0].startswith("label,amp_std_port1_db")
     assert lines[1].startswith("run1,")
+
+
+def test_zero_fraction_matches_per_record_means(consts):
+    # The reference takes each record's zero fraction with np.mean and then
+    # their mean; records differ in n_tx, which weights their entries.
+    rng = np.random.default_rng(8)
+    for n_rx, n_packets in ((1, 9), (2, 40), (3, 300)):
+        records = []
+        for _ in range(n_packets):
+            n_tx = int(rng.integers(1, 4))
+            csi = rng.integers(-1, 2, (30, n_rx, n_tx)) + 1j * rng.integers(-1, 2, (30, n_rx, n_tx))
+            csi[rng.random(csi.shape) < rng.random()] = 0
+            csi[0, 0, 0] = 1
+            records.append(make_record(csi=csi, n_rx=n_rx, n_tx=n_tx,
+                                       rssi=[40] * n_rx + [0] * (3 - n_rx)))
+        expected = np.array([
+            np.mean([np.mean(r.csi[:, p, :] == 0) for r in records]) for p in range(n_rx)
+        ])
+        got = variation_stats(records, consts).zero_fraction
+        assert got.tobytes() == expected.tobytes()
