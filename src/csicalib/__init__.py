@@ -30,7 +30,6 @@ from .phase import (
     circular_stats,
     differential_phase,
     differential_series,
-    raw_phase,
     wrap_deg,
 )
 from .quality import (
@@ -49,7 +48,6 @@ from .chipsim import (
     SweepResult,
     run_sweep,
     simulate_capture,
-    with_attenuation,
 )
 from .autocontrol import (
     ControlAction,
@@ -75,7 +73,6 @@ __all__ = [
     "csi_power_ratio_db",
     "check_ratio_consistency",
     "calibrate",
-    "raw_phase",
     "wrap_deg",
     "differential_phase",
     "differential_series",
@@ -94,7 +91,6 @@ __all__ = [
     "SweepResult",
     "simulate_capture",
     "run_sweep",
-    "with_attenuation",
     "ControlSettings",
     "ControlAction",
     "LoopStep",

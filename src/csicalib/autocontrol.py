@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError, InsufficientPorts
-from .ingest import CalibrationConstants
 from .chipsim import PhaseDistortion, SimConfig, simulate_capture
 from .quality import QualityThresholds, QualityVerdict, classify, classify_losses, variation_stats
 
@@ -23,26 +22,11 @@ class ControlSettings:
     """Control-law parameters on top of the classification thresholds.
 
     balance_target_db is the spread the controller balances to when it has
-    to act (tighter than the 10 dB acceptance bound to leave margin for
-    the ~2 dB RSSI estimation error).  The tx/adc/agc fields describe the
-    chain so the controller can keep the adaptive gain off its lower clamp;
-    closed_loop replaces all four with those of the SimConfig it controls,
-    so they only matter to a direct call of recommend.
+    to act, tighter than the thresholds' reliable spread to leave margin
+    for the ~2 dB RSSI estimation error.
     """
 
     balance_target_db: float = 3.0
-    spread_ok_db: float = 10.0
-    max_loss_db: float = 60.0
-    tx_power_dbm: float = -3.0
-    adc_target_dbm: float = -5.0
-    agc_min_db: int = 26
-    agc_max_db: int = 63
-
-    def agc_floor_loss_db(self) -> float:
-        """Smallest port loss keeping the AGC readout above its lower clamp."""
-        # AGC readout is adc_target - (tx - min_loss); keep it one dB above
-        # the clamp so pinning detection cannot trigger.
-        return self.agc_min_db + 1 - self.adc_target_dbm + self.tx_power_dbm
 
 
 @dataclass(frozen=True)
@@ -62,25 +46,34 @@ class ControlAction:
         }
 
 
-def recommend(est_port_loss_db, settings: ControlSettings = ControlSettings()) -> ControlAction:
+def recommend(
+    est_port_loss_db,
+    settings: ControlSettings = ControlSettings(),
+    chain: SimConfig = SimConfig(),
+    thresholds: QualityThresholds = QualityThresholds(),
+) -> ControlAction:
     """Per-port attenuation additions that balance the channels.
 
-    Losses of None or infinity mean the port could not be measured.  The
-    weakest channel can never be helped by adding attenuation, so any loss
-    above the ceiling makes the action infeasible (zero adjustments).
+    The loss ceiling and the acceptable spread are those of thresholds, and
+    predicted_class is classify_losses under them.  chain is the receiver
+    chain the losses were measured on; its AGC floor sets the smallest loss
+    a port is left with.  Losses of None or infinity mean the port could
+    not be measured.  The weakest channel can never be helped by adding
+    attenuation, so any loss above the ceiling makes the action infeasible
+    (zero adjustments).
     """
     losses = [math.inf if l is None else float(l) for l in est_port_loss_db]
     if len(losses) < 2:
         raise InsufficientPorts("need loss estimates for at least two ports")
 
     zero = (0.0,) * len(losses)
-    if max(losses) > settings.max_loss_db:
+    if max(losses) > thresholds.max_loss_db:
         return ControlAction(zero, feasible=False,
-                             predicted_class=classify_losses(losses))
+                             predicted_class=classify_losses(losses, thresholds))
 
     spread = max(losses) - min(losses)
-    agc_floor = settings.agc_floor_loss_db()
-    if spread <= settings.spread_ok_db and min(losses) >= agc_floor:
+    agc_floor = chain.agc_floor_loss_db()
+    if spread <= thresholds.spread_reliable_db and min(losses) >= agc_floor:
         return ControlAction(zero, feasible=True, predicted_class="Reliable")
 
     # Lift every port to a common floor: within balance_target_db of the
@@ -89,7 +82,7 @@ def recommend(est_port_loss_db, settings: ControlSettings = ControlSettings()) -
     added = tuple(float(max(0, math.ceil(floor_level - l))) for l in losses)
     final = [l + a for l, a in zip(losses, added)]
     return ControlAction(added, feasible=True,
-                         predicted_class=classify_losses(final))
+                         predicted_class=classify_losses(final, thresholds))
 
 
 @dataclass
@@ -115,40 +108,28 @@ def closed_loop(
     distortion: PhaseDistortion | None = None,
     settings: ControlSettings = ControlSettings(),
     thresholds: QualityThresholds = QualityThresholds(),
-    consts: CalibrationConstants | None = None,
     max_iters: int = 8,
 ) -> list[LoopStep]:
     """Iterate simulate -> calibrate -> estimate -> recommend -> apply.
 
+    The chain (transmit power, ADC target, AGC clamps, C) is initial's
+    throughout, since the loop changes only attenuations and seeds.
     Loss estimates come only from the measured RSSI, never from the
-    configured attenuations.  The loop stops on a Reliable verdict, an
-    infeasible or empty action, or max_iters.
+    configured attenuations.  thresholds decide both the verdict of each
+    step and the ceiling and spread that recommend balances to.  The loop
+    stops on a Reliable verdict, an infeasible or empty action, or
+    max_iters.
     """
     if max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
-    if consts is None:
-        consts = CalibrationConstants(
-            c_fixed=initial.c_fixed_db,
-            agc_min=initial.agc_min_db,
-            agc_max=initial.agc_max_db,
-        )
-    # The loop changes only attenuations and seeds, so the chain stays
-    # initial's throughout.
-    settings = replace(
-        settings,
-        tx_power_dbm=initial.tx_power_dbm,
-        adc_target_dbm=initial.adc_target_dbm,
-        agc_min_db=initial.agc_min_db,
-        agc_max_db=initial.agc_max_db,
-    )
+    consts = initial.calibration_constants()
     config = initial
     steps: list[LoopStep] = []
     for iteration in range(max_iters):
         records = simulate_capture(config, distortion)
         stats = variation_stats(records, consts)
         est = estimate_losses(
-            stats.port_power_mean_dbm, len(config.attenuation_db),
-            settings.tx_power_dbm,
+            stats.port_power_mean_dbm, len(config.attenuation_db), config.tx_power_dbm
         )
         verdict = classify(stats, est, thresholds, consts)
         if verdict.cls == "Reliable":
@@ -157,7 +138,7 @@ def closed_loop(
             )
             steps.append(LoopStep(iteration, config, est, verdict, action))
             break
-        action = recommend(est, settings)
+        action = recommend(est, settings, config, thresholds)
         steps.append(LoopStep(iteration, config, est, verdict, action))
         if not action.feasible or action.is_zero():
             break

@@ -11,7 +11,7 @@ channels emerges from quantization alone, not from a hard-coded rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,9 @@ class SimConfig:
     a diagnostic mode that skips CSI rounding/clipping and RSSI rounding so
     the analysis pipeline can be checked against exact values; its float
     RSSI fails RawCsiRecord.validate, so such records cannot be written out.
+    The chain constants c_fixed_db, agc_min_db and agc_max_db default to
+    those of CalibrationConstants, which calibration_constants() returns
+    for this chain.
     """
 
     tx_power_dbm: float = -3.0
@@ -54,12 +57,12 @@ class SimConfig:
     noise_floor_dbm: float | None = -92.0
     adc_target_dbm: float = -5.0
     adc_ref_amplitude: float = 30.0
-    agc_min_db: int = 26
-    agc_max_db: int = 63
+    agc_min_db: int = CalibrationConstants.agc_min
+    agc_max_db: int = CalibrationConstants.agc_max
     n_packets: int = 100
     seed: int = 0
     quantize: bool = True
-    c_fixed_db: float = 44.0
+    c_fixed_db: float = CalibrationConstants.c_fixed
 
     def validate(self) -> None:
         if self.n_packets < 1:
@@ -73,6 +76,18 @@ class SimConfig:
             raise ConfigError("noise floor must sit below transmit power")
         if self.agc_min_db >= self.agc_max_db:
             raise ConfigError("agc_min_db must be < agc_max_db")
+
+    def calibration_constants(self) -> CalibrationConstants:
+        """The constants that calibrate this chain's readouts."""
+        return CalibrationConstants(
+            c_fixed=self.c_fixed_db, agc_min=self.agc_min_db, agc_max=self.agc_max_db
+        )
+
+    def agc_floor_loss_db(self) -> float:
+        """Smallest port loss keeping the AGC readout above its lower clamp."""
+        # The AGC readout is adc_target - (tx - min_loss); keep it one dB
+        # above the clamp so pinning detection cannot trigger.
+        return self.agc_min_db + 1 - self.adc_target_dbm + self.tx_power_dbm
 
 
 @dataclass(frozen=True)
@@ -222,43 +237,34 @@ class SweepResult:
     verdict: QualityVerdict
     ratio_max_abs_db: dict[str, float]
     rssi_deviation_db: dict[int, float]
-    records: list[RawCsiRecord] = field(repr=False, default_factory=list)
 
 
 def run_sweep(
     configs: list[SimConfig],
     distortion: PhaseDistortion | None = None,
-    consts: CalibrationConstants | None = None,
     thresholds: QualityThresholds = QualityThresholds(),
-    keep_records: bool = False,
 ) -> list[SweepResult]:
     """Simulate, calibrate, and classify each configuration in turn.
 
-    Loss estimates for classification come from the simulator ground truth
-    (the configured attenuations).  Results only depend on each entry's own
+    Each configuration is calibrated with its own chain constants.  Loss
+    estimates for classification come from the simulator ground truth (the
+    configured attenuations).  Results only depend on each entry's own
     config and seed, so order is immaterial.
     """
     if not configs:
         raise ConfigError("empty sweep")
     results = []
     for config in configs:
-        if consts is None:
-            run_consts = CalibrationConstants(
-                c_fixed=config.c_fixed_db,
-                agc_min=config.agc_min_db,
-                agc_max=config.agc_max_db,
-            )
-        else:
-            run_consts = consts
+        consts = config.calibration_constants()
         records = simulate_capture(config, distortion)
-        stats = variation_stats(records, run_consts)
-        verdict = classify(stats, config.attenuation_db, thresholds, run_consts)
+        stats = variation_stats(records, consts)
+        verdict = classify(stats, config.attenuation_db, thresholds, consts)
 
         ratio_max: dict[str, float] = {}
         for record in records:
             if len(record.present_ports()) < 2:
                 continue
-            for pr in check_ratio_consistency(record, run_consts):
+            for pr in check_ratio_consistency(record, consts):
                 if math.isnan(pr.discrepancy_db):
                     continue
                 ratio_max[pr.label] = max(
@@ -277,11 +283,7 @@ def run_sweep(
                 verdict=verdict,
                 ratio_max_abs_db=ratio_max,
                 rssi_deviation_db=deviation,
-                records=records if keep_records else [],
             )
         )
     return results
 
-
-def with_attenuation(config: SimConfig, attenuation_db) -> SimConfig:
-    return replace(config, attenuation_db=tuple(float(a) for a in attenuation_db))

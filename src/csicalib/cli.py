@@ -12,24 +12,22 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .autocontrol import ControlSettings, closed_loop, trajectory_to_jsonl
+from .autocontrol import ControlSettings, closed_loop, estimate_losses, trajectory_to_jsonl
 from .chipsim import (
     MultipathTap,
     PhaseDistortion,
     SimConfig,
     run_sweep,
     simulate_capture,
-    with_attenuation,
 )
 from .errors import (
-    AbsentAgc,
     AbsentPort,
     AllZeroCsi,
     BadPermutation,
@@ -44,7 +42,6 @@ from .errors import (
     SchemaError,
     TruncatedRecord,
     ZeroChannel,
-    ZeroEntry,
 )
 from .ingest import (
     CalibrationConstants,
@@ -66,8 +63,8 @@ EXIT_CONFIG = 4
 
 _INPUT_ERRORS = (SchemaError, TruncatedRecord, LengthMismatch, BadPermutation,
                  InvariantViolation)
-_DOMAIN_ERRORS = (AbsentPort, AbsentAgc, AllZeroCsi, EmptyInput, ZeroChannel,
-                  ZeroEntry, InsufficientData, InsufficientPorts, MixedLayout)
+_DOMAIN_ERRORS = (AbsentPort, AllZeroCsi, EmptyInput, ZeroChannel,
+                  InsufficientData, InsufficientPorts, MixedLayout)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,10 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_consts(p):
-        p.add_argument("--consts-c", type=float, default=44.0,
-                       help="fixed chain offset C in dB (default 44)")
-        p.add_argument("--agc-min", type=int, default=26)
-        p.add_argument("--agc-max", type=int, default=63)
+        p.add_argument("--consts-c", type=float, default=CalibrationConstants.c_fixed,
+                       help="fixed chain offset C in dB (default %(default)g)")
+        p.add_argument("--agc-min", type=int, default=CalibrationConstants.agc_min)
+        p.add_argument("--agc-max", type=int, default=CalibrationConstants.agc_max)
 
     p = sub.add_parser("parse", help="convert between binary and text traces")
     p.add_argument("--in", dest="in_path", required=True)
@@ -150,9 +147,7 @@ def _sim_config(obj: dict, seed_override: int | None) -> SimConfig:
         )
     config = _dataclass_from(SimConfig, sim, "sim")
     if seed_override is not None:
-        config = SimConfig(**{**asdict(config), "seed": seed_override,
-                              "multipath": config.multipath,
-                              "attenuation_db": config.attenuation_db})
+        config = replace(config, seed=seed_override)
     config.validate()
     return config
 
@@ -230,12 +225,7 @@ def _cmd_analyze(args) -> int:
     stats = variation_stats(records, consts)
     losses = None
     if args.tx_power is not None:
-        losses = [
-            args.tx_power - stats.port_power_mean_dbm[p]
-            if p in stats.port_power_mean_dbm
-            else math.inf
-            for p in range(records[0].n_rx)
-        ]
+        losses = estimate_losses(stats.port_power_mean_dbm, records[0].n_rx, args.tx_power)
     verdict = classify(stats, losses, QualityThresholds(), consts)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -271,7 +261,7 @@ def _cmd_sweep(args) -> int:
     if not rows:
         raise ConfigError("sweep config needs a non-empty 'sweep' list of "
                           "attenuation triples")
-    configs = [with_attenuation(base, row) for row in rows]
+    configs = [replace(base, attenuation_db=tuple(float(a) for a in row)) for row in rows]
     results = run_sweep(configs, _distortion(obj), thresholds=_thresholds(obj))
 
     out_dir = Path(args.out)
@@ -344,13 +334,6 @@ def _cmd_control(args) -> int:
     config = _sim_config(obj, seed)
     control = dict(obj.get("control", {}))
     max_iters = int(control.pop("max_iters", 8))
-    # closed_loop takes the chain from the sim section; a second copy here
-    # would be ignored, so refuse it.
-    chain = [k for k in ("tx_power_dbm", "adc_target_dbm", "agc_min_db", "agc_max_db")
-             if k in control]
-    if chain:
-        raise ConfigError(f"control section cannot set {', '.join(chain)}; "
-                          "set them in the sim section")
     settings = _dataclass_from(ControlSettings, control, "control")
     steps = closed_loop(
         config,

@@ -37,10 +37,6 @@ class AbsentPort(CsiCalibError):
     """Operation requested on a port whose RSSI readout marks it absent."""
 
 
-class AbsentAgc(CsiCalibError):
-    """Record carries no AGC readout."""
-
-
 class EmptyInput(CsiCalibError):
     """An aggregate was requested over an empty collection."""
 
@@ -51,10 +47,6 @@ class ZeroChannel(CsiCalibError):
 
 class AllZeroCsi(CsiCalibError):
     """Every CSI component of the record is zero; calibration impossible."""
-
-
-class ZeroEntry(CsiCalibError):
-    """Phase of an exactly-zero complex sample is undefined."""
 
 
 class InsufficientData(CsiCalibError):

@@ -374,6 +374,8 @@ def parse_text_trace(text: str) -> list[RawCsiRecord]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaError(lineno, f"invalid JSON: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise SchemaError(lineno, "JSON nested too deeply") from exc
         if not isinstance(obj, dict):
             raise SchemaError(lineno, "record must be a JSON object")
         missing = [f for f in _TEXT_FIELDS if f not in obj]
@@ -403,7 +405,7 @@ def parse_text_trace(text: str) -> list[RawCsiRecord]:
             record.validate()
         except SchemaError:
             raise
-        except (TypeError, ValueError, KeyError, InvariantViolation) as exc:
+        except (TypeError, ValueError, KeyError, OverflowError, InvariantViolation) as exc:
             raise SchemaError(lineno, str(exc)) from exc
         records.append(record)
     return records

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AbsentPort, InsufficientData, ZeroEntry
+from .errors import AbsentPort, InsufficientData
 from .ingest import N_SUBCARRIERS, RawCsiRecord
 from .powercalib import pair_label
 
@@ -29,13 +29,6 @@ def wrap_deg(angle_deg):
     """Wrap angles (scalar or array) to (-180, 180]."""
     # [()] returns a scalar for scalar input and the array otherwise.
     return _wrap_in_place(np.array(angle_deg, dtype=float))[()]
-
-
-def raw_phase(csi_entry: complex) -> float:
-    """Four-quadrant angle of a complex CSI sample, degrees in (-180, 180]."""
-    if csi_entry == 0:
-        raise ZeroEntry("phase of a zero sample is undefined")
-    return float(wrap_deg(np.degrees(np.angle(csi_entry))))
 
 
 def _check_ports(record: RawCsiRecord, pair: tuple[int, int]) -> None:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    AbsentAgc,
     AbsentPort,
     AllZeroCsi,
     EmptyInput,
@@ -137,8 +136,6 @@ def check_ratio_consistency(
 
 def calibrate(record: RawCsiRecord, consts: CalibrationConstants) -> CalibratedFrame:
     """Restore absolute per-port power and per-subcarrier amplitude in dBm."""
-    if record.agc is None:
-        raise AbsentAgc("record carries no AGC readout")
     present = record.present_ports()
     if not present:
         raise AbsentPort("no present ports in record")

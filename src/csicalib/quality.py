@@ -163,15 +163,28 @@ def classify_losses(
     est_port_loss_db, thresholds: QualityThresholds = QualityThresholds()
 ) -> str:
     """Loss-only reliability class (no capture statistics involved)."""
-    losses = [math.inf if l is None else float(l) for l in est_port_loss_db]
+    return _most_severe(_loss_checks(_as_losses(est_port_loss_db), thresholds))
+
+
+def _as_losses(est_port_loss_db) -> list[float]:
+    """Loss per port as floats; None (unmeasured) becomes infinity."""
+    return [math.inf if l is None else float(l) for l in est_port_loss_db]
+
+
+def _loss_checks(losses: list[float], thresholds: QualityThresholds):
+    """(class, reason) of each loss and spread check that triggers."""
+    checks = []
     spread = _loss_spread(losses)
     if spread > thresholds.spread_unmeasurable_db:
-        return "PhaseUnmeasurable"
-    if max(losses) > thresholds.max_loss_db:
-        return "Unstable"
-    if spread > thresholds.spread_reliable_db:
-        return "Degraded"
-    return "Reliable"
+        checks.append(("PhaseUnmeasurable", _reason(
+            "loss_spread", thresholds.spread_unmeasurable_db, spread)))
+    elif spread > thresholds.spread_reliable_db:
+        checks.append(("Degraded", _reason(
+            "loss_spread", thresholds.spread_reliable_db, spread)))
+    max_loss = max(losses)
+    if max_loss > thresholds.max_loss_db:
+        checks.append(("Unstable", _reason("max_loss", thresholds.max_loss_db, max_loss)))
+    return checks
 
 
 def _loss_spread(losses) -> float:
@@ -180,6 +193,18 @@ def _loss_spread(losses) -> float:
     if any(math.isinf(l) for l in losses):
         return math.inf
     return max(losses) - min(losses)
+
+
+def _reason(check: str, threshold, observed) -> dict:
+    """One triggered check; an infinite observation is written as "inf"."""
+    return {"check": check, "threshold": threshold,
+            "observed": "inf" if math.isinf(observed) else observed}
+
+
+def _most_severe(checks) -> str:
+    """The most severe class among the (class, reason) checks; Reliable if none."""
+    triggered = {cls for cls, _ in checks}
+    return next((cls for cls in _PRECEDENCE if cls in triggered), "Reliable")
 
 
 def classify(
@@ -194,66 +219,25 @@ def classify(
     loss-based checks are then skipped and only zero-CSI and AGC pinning
     can demote the verdict.
     """
-    reasons: list[dict] = []
-    triggered: set[str] = set()
-
-    losses = None
-    if est_port_loss_db is not None:
-        losses = [math.inf if l is None else float(l) for l in est_port_loss_db]
-
+    checks = []
     zmax = float(stats.zero_fraction.max()) if stats.zero_fraction.size else 0.0
     if zmax > thresholds.zero_fraction_max:
-        triggered.add("PhaseUnmeasurable")
-        reasons.append(
-            {"check": "zero_fraction", "threshold": thresholds.zero_fraction_max,
-             "observed": zmax}
-        )
+        checks.append(("PhaseUnmeasurable", _reason(
+            "zero_fraction", thresholds.zero_fraction_max, zmax)))
 
-    if losses is not None:
-        spread = _loss_spread(losses)
-        if spread > thresholds.spread_unmeasurable_db:
-            triggered.add("PhaseUnmeasurable")
-            reasons.append(
-                {"check": "loss_spread", "threshold": thresholds.spread_unmeasurable_db,
-                 "observed": _json_num(spread)}
-            )
-        elif spread > thresholds.spread_reliable_db:
-            triggered.add("Degraded")
-            reasons.append(
-                {"check": "loss_spread", "threshold": thresholds.spread_reliable_db,
-                 "observed": _json_num(spread)}
-            )
-        max_loss = max(losses)
-        if max_loss > thresholds.max_loss_db:
-            triggered.add("Unstable")
-            reasons.append(
-                {"check": "max_loss", "threshold": thresholds.max_loss_db,
-                 "observed": _json_num(max_loss)}
-            )
+    if est_port_loss_db is not None:
+        checks += _loss_checks(_as_losses(est_port_loss_db), thresholds)
 
-    if stats.agc_readouts:
-        readouts = set(stats.agc_readouts)
-        if readouts == {consts.agc_min}:
-            triggered.add("AgcSaturatedLow")
-            reasons.append(
-                {"check": "agc_pinned_low", "threshold": consts.agc_min,
-                 "observed": consts.agc_min}
-            )
-        elif readouts == {consts.agc_max}:
-            triggered.add("AgcSaturatedHigh")
-            reasons.append(
-                {"check": "agc_pinned_high", "threshold": consts.agc_max,
-                 "observed": consts.agc_max}
-            )
+    readouts = set(stats.agc_readouts)
+    if readouts == {consts.agc_min}:
+        checks.append(("AgcSaturatedLow", _reason(
+            "agc_pinned_low", consts.agc_min, consts.agc_min)))
+    elif readouts == {consts.agc_max}:
+        checks.append(("AgcSaturatedHigh", _reason(
+            "agc_pinned_high", consts.agc_max, consts.agc_max)))
 
-    for cls in _PRECEDENCE:
-        if cls in triggered:
-            return QualityVerdict(cls=cls, reasons=reasons)
-    return QualityVerdict(cls="Reliable", reasons=reasons)
-
-
-def _json_num(x: float):
-    return "inf" if math.isinf(x) else x
+    return QualityVerdict(cls=_most_severe(checks),
+                          reasons=[reason for _, reason in checks])
 
 
 def stats_to_csv(rows: list[tuple[str, VariationStats]]) -> str:

@@ -14,6 +14,7 @@ from csicalib import (
     CalibrationConstants,
     ControlSettings,
     PhaseDistortion,
+    QualityThresholds,
     SimConfig,
     calibrate,
     closed_loop,
@@ -222,24 +223,25 @@ def test_criterion_08_parser_roundtrip():
     _finish(8, "trace encode/parse identity over 1000 records", failures)
 
 
-def _brute_force_feasible(losses, settings):
+def _brute_force_feasible(losses, thresholds):
     grid = np.arange(0.0, 61.0, 2.0)
     a0, a1, a2 = np.meshgrid(grid, grid, grid, indexing="ij")
     f0, f1, f2 = losses[0] + a0, losses[1] + a1, losses[2] + a2
     top = np.maximum(np.maximum(f0, f1), f2)
     bottom = np.minimum(np.minimum(f0, f1), f2)
-    ok = (top <= settings.max_loss_db) & (top - bottom <= settings.spread_ok_db)
+    ok = (top <= thresholds.max_loss_db) & (top - bottom <= thresholds.spread_reliable_db)
     return bool(ok.any())
 
 
 def test_criterion_09_control_loop():
     settings = ControlSettings()
+    thresholds = QualityThresholds()
     rng = np.random.default_rng(700)
     failures = []
     for i in range(100):
         losses = [float(v) for v in rng.uniform(15.0, 90.0, 3)]
         action = recommend(losses, settings)
-        expected = _brute_force_feasible(losses, settings)
+        expected = _brute_force_feasible(losses, thresholds)
         if action.feasible != expected:
             failures.append(f"{losses}: feasible {action.feasible} != {expected}")
             continue
@@ -248,7 +250,7 @@ def test_criterion_09_control_loop():
         )
         steps = closed_loop(initial, REALISTIC_DISTORTION, settings=settings)
         for step in steps[1:]:
-            if max(step.config.attenuation_db) > settings.max_loss_db:
+            if max(step.config.attenuation_db) > thresholds.max_loss_db:
                 failures.append(
                     f"{losses}: applied attenuation exceeded the 60 dB ceiling"
                 )

@@ -8,6 +8,7 @@ import pytest
 from csicalib import (
     ControlAction,
     ControlSettings,
+    QualityThresholds,
     SimConfig,
     closed_loop,
     recommend,
@@ -52,14 +53,31 @@ def test_needs_two_ports():
 
 
 def test_strong_signal_lifted_off_agc_floor():
-    settings = ControlSettings()
-    action = recommend([15, 15, 15], settings)
+    action = recommend([15, 15, 15])
     final = [15 + a for a in action.added_attenuation_db]
-    assert min(final) >= settings.agc_floor_loss_db()
-    assert max(final) <= settings.max_loss_db
+    assert min(final) >= SimConfig().agc_floor_loss_db()
+    assert max(final) <= QualityThresholds().max_loss_db
 
 
-def _brute_force_feasible(losses, settings):
+@pytest.mark.parametrize("tx_power_dbm", [-3.0, 0.0, 6.0])
+def test_recommend_lifts_to_the_given_chain_agc_floor(tx_power_dbm):
+    chain = SimConfig(tx_power_dbm=tx_power_dbm)
+    action = recommend([15, 15, 15], chain=chain)
+    # The floor is agc_min + 1 - adc_target + tx_power = 32 + tx_power dB.
+    assert chain.agc_floor_loss_db() == 32.0 + tx_power_dbm
+    assert [15 + a for a in action.added_attenuation_db] == [32.0 + tx_power_dbm] * 3
+
+
+def test_recommend_reads_ceiling_and_spread_from_thresholds():
+    assert not recommend([30, 30, 55], thresholds=QualityThresholds(max_loss_db=50)).feasible
+    assert recommend([30, 30, 38]).is_zero()
+    action = recommend([30, 30, 38], thresholds=QualityThresholds(spread_reliable_db=5))
+    assert action.added_attenuation_db == (5.0, 5.0, 0.0)
+    strict = QualityThresholds(spread_reliable_db=2)
+    assert recommend([30, 30, 38], thresholds=strict).predicted_class == "Degraded"
+
+
+def _brute_force_feasible(losses, thresholds):
     """Search additive attenuations for a spread/ceiling-satisfying point."""
     grid = np.arange(0.0, 61.0, 2.0)
     a0, a1, a2 = np.meshgrid(grid, grid, grid, indexing="ij")
@@ -68,19 +86,28 @@ def _brute_force_feasible(losses, settings):
     f2 = losses[2] + a2
     top = np.maximum(np.maximum(f0, f1), f2)
     bottom = np.minimum(np.minimum(f0, f1), f2)
-    ok = (top <= settings.max_loss_db) & (top - bottom <= settings.spread_ok_db)
+    ok = (top <= thresholds.max_loss_db) & (top - bottom <= thresholds.spread_reliable_db)
     return bool(ok.any())
 
 
 def test_feasibility_matches_brute_force():
-    settings = ControlSettings()
+    _assert_feasibility_matches_brute_force(QualityThresholds())
+
+
+def test_feasibility_matches_brute_force_under_other_thresholds():
+    _assert_feasibility_matches_brute_force(
+        QualityThresholds(max_loss_db=50.0, spread_reliable_db=5.0))
+
+
+def _assert_feasibility_matches_brute_force(thresholds):
     for losses in itertools.combinations_with_replacement(range(0, 91, 5), 3):
-        action = recommend(list(losses), settings)
-        assert action.feasible == _brute_force_feasible(losses, settings), losses
+        action = recommend(list(losses), thresholds=thresholds)
+        assert action.feasible == _brute_force_feasible(losses, thresholds), losses
 
 
 def test_actions_are_safe_and_idempotent():
     settings = ControlSettings()
+    thresholds = QualityThresholds()
     rng = np.random.default_rng(41)
     for _ in range(300):
         losses = list(rng.uniform(5, 90, 3))
@@ -90,9 +117,9 @@ def test_actions_are_safe_and_idempotent():
             assert action.is_zero()
             continue
         final = [l + a for l, a in zip(losses, action.added_attenuation_db)]
-        assert max(final) <= settings.max_loss_db + 1e-9
+        assert max(final) <= thresholds.max_loss_db + 1e-9
         if not action.is_zero():
-            assert max(final) - min(final) <= settings.spread_ok_db + 1e-9
+            assert max(final) - min(final) <= thresholds.spread_reliable_db + 1e-9
         # a second pass on the corrected losses never acts again
         assert recommend(final, settings).is_zero()
 
@@ -180,3 +207,25 @@ def test_closed_loop_uses_the_controlled_chain(tx_power_dbm, att, final_cls):
             assert est == pytest.approx(true, abs=1.5)
     assert steps[-1].verdict.cls == final_cls
     assert steps[-1].action.feasible == (final_cls != "Unstable")
+
+
+def test_closed_loop_lower_ceiling_is_infeasible():
+    # Every port at or below 50 dB would need the 55 dB port made stronger,
+    # which added attenuation cannot do.
+    initial = SimConfig(attenuation_db=(20.0, 40.0, 55.0), n_packets=40, seed=0)
+    steps = closed_loop(initial, REALISTIC_DISTORTION,
+                        thresholds=QualityThresholds(max_loss_db=50.0))
+    assert len(steps) == 1
+    assert not steps[0].action.feasible
+    assert steps[0].action.is_zero()
+
+
+def test_closed_loop_balances_to_a_tighter_spread():
+    initial = SimConfig(attenuation_db=(30.0, 30.0, 38.0), n_packets=40, seed=0)
+    thresholds = QualityThresholds(spread_reliable_db=5.0)
+    steps = closed_loop(initial, REALISTIC_DISTORTION, thresholds=thresholds)
+    assert steps[0].verdict.cls == "Degraded"
+    assert not steps[0].action.is_zero()
+    assert steps[-1].verdict.cls == "Reliable"
+    final = steps[-1].config.attenuation_db
+    assert max(final) - min(final) <= thresholds.spread_reliable_db

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from csicalib import (
+    CalibrationConstants,
     MultipathTap,
     PhaseDistortion,
     SimConfig,
@@ -12,7 +13,6 @@ from csicalib import (
     run_sweep,
     simulate_capture,
     variation_stats,
-    with_attenuation,
 )
 from csicalib.errors import ConfigError
 
@@ -220,10 +220,19 @@ def test_config_validation():
         run_sweep([])
 
 
-def test_with_attenuation_helper():
-    config = with_attenuation(BALANCED, (40, 40, 40))
-    assert config.attenuation_db == (40.0, 40.0, 40.0)
-    assert config.seed == BALANCED.seed
+def test_calibration_constants_follow_the_chain():
+    assert SimConfig().calibration_constants() == CalibrationConstants()
+    chain = SimConfig(c_fixed_db=40.0, agc_min_db=20, agc_max_db=60)
+    assert chain.calibration_constants() == CalibrationConstants(40.0, 20, 60)
+
+
+def test_sweep_calibrates_each_config_with_its_own_chain():
+    configs = [BALANCED, SimConfig(attenuation_db=(33.0, 30.0, 36.0), n_packets=100,
+                                   seed=0, c_fixed_db=50.0)]
+    for res in run_sweep(configs, REALISTIC_DISTORTION):
+        assert res.verdict.cls == "Reliable"
+        for deviation in res.rssi_deviation_db.values():
+            assert abs(deviation) <= 1.5
 
 
 def test_distortion_free_capture_is_static():

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from csicalib import (
     SimConfig,
@@ -218,3 +219,64 @@ def test_control_chain_fields_are_config_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"control": {"tx_power_dbm": 0.0}})
     assert main(["control", "--config", cfg, "--out", str(tmp_path / "ctl")]) == 4
     assert "tx_power_dbm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["spread_ok_db", "max_loss_db"])
+def test_control_threshold_fields_are_config_error(tmp_path, capsys, key):
+    # The loop takes the ceiling and spread from the thresholds section.
+    cfg = _write_config(tmp_path, {"control": {key: 10.0}})
+    assert main(["control", "--config", cfg, "--out", str(tmp_path / "ctl")]) == 4
+    assert key in capsys.readouterr().err
+
+
+def test_control_reads_ceiling_from_thresholds(tmp_path):
+    cfg = _write_config(tmp_path, {
+        "sim": {"attenuation_db": [20, 40, 55], "n_packets": 20, "seed": 0},
+        "thresholds": {"max_loss_db": 50},
+    })
+    out = tmp_path / "ctl"
+    assert main(["control", "--config", cfg, "--out", str(out)]) == 0
+    (line,) = (out / "trajectory.jsonl").read_text().splitlines()
+    action = json.loads(line)["action"]
+    assert not action["feasible"]
+    assert action["added_attenuation_db"] == [0.0, 0.0, 0.0]
+
+
+_DEEP = "[" * 5000 + "]" * 5000
+
+
+def test_deeply_nested_json_is_input_error(tmp_path, capsys):
+    trace = tmp_path / "deep.txt"
+    trace.write_text(_DEEP + "\n")
+    assert main(["parse", "--in", str(trace), "--format", "text",
+                 "--out", str(tmp_path / "out.bin")]) == 2
+    assert "line 1: JSON nested too deeply" in capsys.readouterr().err
+
+
+_VALID_OBJ = json.loads(write_text_trace([make_record()]))
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=4),
+    max_leaves=20,
+)
+# Any JSON value, and a valid record with one field replaced by any JSON value.
+_json_line = st.one_of(
+    _json.map(json.dumps),
+    st.tuples(st.sampled_from(sorted(_VALID_OBJ)), _json).map(
+        lambda edit: json.dumps({**_VALID_OBJ, edit[0]: edit[1]})),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_json_line)
+@example(_DEEP)
+@example(json.dumps(_VALID_OBJ))
+@example(json.dumps({**_VALID_OBJ, "csi": [[10**400, 0]] + _VALID_OBJ["csi"][1:]}))
+def test_cli_json_line_exit_code_property(tmp_path, line):
+    trace = tmp_path / "line.txt"
+    trace.write_text(line + "\n")
+    for command in ("calibrate", "analyze"):
+        out = tmp_path / command
+        assert main([command, "--in", str(trace), "--out", str(out)]) in (0, 2, 3)

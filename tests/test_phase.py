@@ -8,25 +8,12 @@ from csicalib import (
     circular_stats,
     differential_phase,
     differential_series,
-    raw_phase,
     wrap_deg,
 )
-from csicalib.errors import AbsentPort, InsufficientData, ZeroEntry
+from csicalib.errors import AbsentPort, InsufficientData
 from csicalib.phase import series_to_csv
 
 from conftest import make_record
-
-
-def test_raw_phase_axes():
-    assert raw_phase(1 + 0j) == 0.0
-    assert raw_phase(0 + 1j) == 90.0
-    assert raw_phase(-1 - 1j) == -135.0
-    assert raw_phase(-1 + 0j) == 180.0  # wrap convention: 180 included
-
-
-def test_raw_phase_zero_entry():
-    with pytest.raises(ZeroEntry):
-        raw_phase(0j)
 
 
 def test_wrap_range():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csicalib import (
     QualityThresholds,
@@ -117,6 +118,23 @@ def test_classify_losses_monotone_in_max_port():
         bumped = losses[:2] + [losses[2] + float(rng.uniform(0, 30))]
         after = classify_losses(bumped)
         assert _SEVERITY[after] >= _SEVERITY[before]
+
+
+_loss = st.one_of(st.none(), st.floats(0.0, 100.0))
+_thresholds = st.builds(
+    QualityThresholds,
+    max_loss_db=st.floats(0.0, 100.0),
+    spread_reliable_db=st.floats(0.0, 40.0),
+    spread_unmeasurable_db=st.floats(0.0, 40.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_loss, min_size=2, max_size=3), _thresholds)
+def test_classify_losses_agrees_with_classify(losses, thresholds):
+    # With no zero CSI and no AGC pinning, only the loss rules decide.
+    stats = _stats(agc=(27, 28, 40))
+    assert classify_losses(losses, thresholds) == classify(stats, losses, thresholds).cls
 
 
 def test_classify_losses_permutation_invariant():
