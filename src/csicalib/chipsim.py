@@ -97,13 +97,14 @@ class PhaseDistortion:
     cfo_rate_deg drifts the common phase per packet, sfo_slope_deg adds a
     per-subcarrier slope growing per packet, pdd_jitter_deg is a random
     common offset per packet, and delta_deg are the constant per-port
-    offsets from the PLL locking point.
+    offsets from the PLL locking point, one per port (simulate_capture
+    reads the first n_rx).
     """
 
     cfo_rate_deg: float = 0.0
     sfo_slope_deg: float = 0.0
     pdd_jitter_deg: float = 0.0
-    delta_deg: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    delta_deg: tuple[float, ...] = (0.0, 0.0, 0.0)
 
 
 def _unit_channel(config: SimConfig) -> np.ndarray:

@@ -12,7 +12,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+import types
+import typing
+from dataclasses import fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -21,7 +23,6 @@ import numpy as np
 from . import __version__
 from .autocontrol import ControlSettings, closed_loop, estimate_losses, trajectory_to_jsonl
 from .chipsim import (
-    MultipathTap,
     PhaseDistortion,
     SimConfig,
     run_sweep,
@@ -129,34 +130,72 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _dataclass_from(cls, obj: dict, what: str):
-    try:
-        return cls(**obj)
-    except TypeError as exc:
-        raise ConfigError(f"bad {what} section: {exc}") from exc
+def _dataclass_from(cls, obj, what: str):
+    """An instance of cls from a config object, each value checked by _typed."""
+    if type(obj) is not dict:
+        raise ConfigError(f"{what} must be a JSON object, got {json.dumps(obj)}")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"bad {what} section: unknown keys {', '.join(unknown)}")
+    return cls(**{name: _typed(value, hints[name], f"{what}.{name}")
+                  for name, value in obj.items()})
+
+
+def _typed(value, annotation, what: str):
+    """value if it is a JSON value of the annotated type, else ConfigError.
+
+    float takes a finite number, an int too but never a bool; int and bool
+    take only their own type; X | None also takes null; tuple[...] takes
+    a list, returned as a tuple; a dataclass takes an object.  Numbers are
+    returned as given.
+    """
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (annotation,) = [a for a in args if a is not type(None)]
+        return _typed(value, annotation, what)
+    if origin is tuple:
+        if type(value) is not list:
+            raise ConfigError(f"{what} must be a list, got {json.dumps(value)}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{what} needs {len(args)} entries, got {len(value)}")
+        return tuple(_typed(v, a, f"{what}[{i}]")
+                     for i, (v, a) in enumerate(zip(value, args)))
+    if is_dataclass(annotation):
+        return _dataclass_from(annotation, value, what)
+    if annotation is float:
+        try:
+            ok = type(value) in (int, float) and math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            ok = False
+        kind = "a finite number"
+    else:
+        ok = type(value) is annotation
+        kind = f"a JSON {'boolean' if annotation is bool else 'integer'}"
+    if not ok:
+        raise ConfigError(f"{what} must be {kind}, got {json.dumps(value)}")
+    return value
 
 
 def _sim_config(obj: dict, seed_override: int | None) -> SimConfig:
-    sim = dict(obj.get("sim", {}))
-    if "attenuation_db" in sim:
-        sim["attenuation_db"] = tuple(sim["attenuation_db"])
-    if "multipath" in sim:
-        sim["multipath"] = tuple(
-            _dataclass_from(MultipathTap, tap, "multipath tap")
-            for tap in sim["multipath"]
-        )
-    config = _dataclass_from(SimConfig, sim, "sim")
+    config = _dataclass_from(SimConfig, obj.get("sim", {}), "sim")
     if seed_override is not None:
         config = replace(config, seed=seed_override)
     config.validate()
     return config
 
 
-def _distortion(obj: dict) -> PhaseDistortion:
-    section = dict(obj.get("distortion", {}))
-    if "delta_deg" in section:
-        section["delta_deg"] = tuple(section["delta_deg"])
-    return _dataclass_from(PhaseDistortion, section, "distortion")
+def _distortion(obj: dict, n_rx: int) -> PhaseDistortion:
+    section = obj.get("distortion", {})
+    distortion = _dataclass_from(PhaseDistortion, section, "distortion")
+    if "delta_deg" in section and len(distortion.delta_deg) != n_rx:
+        raise ConfigError(f"distortion.delta_deg needs {n_rx} entries, one per port "
+                          f"of sim.attenuation_db, got {len(distortion.delta_deg)}")
+    return distortion
 
 
 def _thresholds(obj: dict) -> QualityThresholds:
@@ -185,9 +224,13 @@ def _write_manifest(out_dir: Path, args, seed=None, inputs=()) -> None:
 
 def _read_trace(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except OSError as exc:
         raise SchemaError(0, f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # The line of the first undecodable byte, counted as the parser counts.
+        line = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
+        raise SchemaError(line, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     return parse_text_trace(text)
 
 
@@ -199,8 +242,7 @@ def _cmd_parse(args) -> int:
         records = parse_binary_trace(in_path.read_bytes())
         out_path.write_text(write_text_trace(records))
     else:
-        records = parse_text_trace(in_path.read_text(encoding="utf-8"))
-        out_path.write_bytes(encode_binary_trace(records))
+        out_path.write_bytes(encode_binary_trace(_read_trace(args.in_path)))
     return EXIT_OK
 
 
@@ -245,7 +287,7 @@ def _cmd_simulate(args) -> int:
     if not config.quantize:
         raise ConfigError("simulate writes a trace, whose CSI must be integer-valued: "
                           "quantize must be true")
-    records = simulate_capture(config, _distortion(obj))
+    records = simulate_capture(config, _distortion(obj, len(config.attenuation_db)))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "trace.txt").write_text(write_text_trace(records))
@@ -257,19 +299,23 @@ def _cmd_sweep(args) -> int:
     obj = _load_json(args.config)
     seed = _resolve_seed(args)
     base = _sim_config(obj, seed)
-    rows = obj.get("sweep")
+    n_rx = len(base.attenuation_db)
+    rows = _typed(obj.get("sweep", []), tuple[tuple[float, ...], ...], "sweep")
     if not rows:
         raise ConfigError("sweep config needs a non-empty 'sweep' list of "
                           "attenuation triples")
-    configs = [replace(base, attenuation_db=tuple(float(a) for a in row)) for row in rows]
-    results = run_sweep(configs, _distortion(obj), thresholds=_thresholds(obj))
+    for i, row in enumerate(rows):
+        if len(row) != n_rx:
+            raise ConfigError(f"sweep[{i}] needs {n_rx} entries, one per port "
+                              f"of sim.attenuation_db, got {len(row)}")
+    configs = [replace(base, attenuation_db=row) for row in rows]
+    results = run_sweep(configs, _distortion(obj, n_rx), thresholds=_thresholds(obj))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     buf = io.StringIO()
     writer = csv.writer(buf)
-    n_rx = len(base.attenuation_db)
     writer.writerow(
         ["index"]
         + [f"attenuation_port{p + 1}_db" for p in range(n_rx)]
@@ -332,12 +378,15 @@ def _cmd_control(args) -> int:
     obj = _load_json(args.config)
     seed = _resolve_seed(args)
     config = _sim_config(obj, seed)
-    control = dict(obj.get("control", {}))
-    max_iters = int(control.pop("max_iters", 8))
+    control = obj.get("control", {})
+    if type(control) is not dict:
+        raise ConfigError(f"control must be a JSON object, got {json.dumps(control)}")
+    control = dict(control)
+    max_iters = _typed(control.pop("max_iters", 8), int, "control.max_iters")
     settings = _dataclass_from(ControlSettings, control, "control")
     steps = closed_loop(
         config,
-        _distortion(obj),
+        _distortion(obj, len(config.attenuation_db)),
         settings=settings,
         thresholds=_thresholds(obj),
         max_iters=max_iters,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -99,6 +100,11 @@ class RawCsiRecord:
         return [p for p in range(self.n_rx) if self.rssi[p] != 0]
 
     def validate(self) -> None:
+        self._validate_header()
+        _validate_csi(self.csi)
+
+    def _validate_header(self) -> None:
+        """Every check of validate() but those on the CSI values."""
         # Python ints only, as the text parser reads them: a float or a
         # numpy integer would fail later, in struct or json.
         for name in _INT_FIELDS:
@@ -121,26 +127,62 @@ class RawCsiRecord:
             raise InvariantViolation("bfee_count out of u16 range")
         if not (0 <= self.rate_flags < 2 ** 16):
             raise InvariantViolation("rate_flags out of u16 range")
-        if len(self.rssi) != 3 or any(not (0 <= r <= 255) for r in self.rssi):
+        if len(self.rssi) != 3 or not (0 <= min(self.rssi) and max(self.rssi) <= 255):
             raise InvariantViolation("rssi must be three values in 0..255")
-        if any(self.rssi[p] != 0 for p in range(self.n_rx, 3)):
+        if any(self.rssi[self.n_rx:]):
             raise InvariantViolation("rssi of absent ports must be exactly 0")
         if not (-128 <= self.noise <= 127):
             raise InvariantViolation("noise out of i8 range")
         if not (0 <= self.agc <= 255):
             raise InvariantViolation("agc out of u8 range")
-        if len(self.antenna_perm) != 3 or any(
-            not (0 <= p <= 3) for p in self.antenna_perm
+        if len(self.antenna_perm) != 3 or not (
+            0 <= min(self.antenna_perm) and max(self.antenna_perm) <= 3
         ):
             raise InvariantViolation("antenna_perm must be three 2-bit values")
         if sorted(self.antenna_perm[: self.n_rx]) != list(range(self.n_rx)):
             raise InvariantViolation("antenna_perm prefix is not a permutation")
-        # Rounding a complex array rounds both parts; NaN never compares equal.
-        if not (self.csi == np.round(self.csi)).all():
-            raise InvariantViolation("csi components must be integer-valued")
-        re, im = self.csi.real, self.csi.imag
-        if min(re.min(), im.min()) < -128 or max(re.max(), im.max()) > 127:
-            raise InvariantViolation("csi components must lie in [-128, 127]")
+
+
+def _validate_csi(csi: np.ndarray) -> None:
+    """The CSI checks of RawCsiRecord.validate, on one csi or a stack of them."""
+    # Rounding a complex array rounds both parts; NaN never compares equal.
+    if not (csi == np.round(csi)).all():
+        raise InvariantViolation("csi components must be integer-valued")
+    real, imag = csi.real, csi.imag
+    if min(real.min(), imag.min()) < -128 or max(real.max(), imag.max()) > 127:
+        raise InvariantViolation("csi components must lie in [-128, 127]")
+
+
+#: Records stacked at a time by _validated_groups; bounds the copy it holds.
+_STACK_RECORDS = 256
+
+
+def _validated_groups(records: list[RawCsiRecord], layout):
+    """Validate every record in one pass; yield its groups with their csi stacked.
+
+    layout(record) is the group key, which must fix the csi shape.  Yields
+    (key, record indices, csi stacked along a new first axis) for at most
+    _STACK_RECORDS records of one group at a time, so only one such stack
+    is held.  The header checks run on every record before the first
+    yield; the CSI checks run once per stack.  On any fault every record
+    is validated in order, so the first faulty record raises the error its
+    validate() raises, even if stacks were already yielded.
+    """
+    try:
+        groups: dict[tuple, list[int]] = {}
+        for i, record in enumerate(records):
+            record._validate_header()
+            groups.setdefault(layout(record), []).append(i)
+        for key, index in groups.items():
+            for start in range(0, len(index), _STACK_RECORDS):
+                part = index[start : start + _STACK_RECORDS]
+                csi = np.stack([records[i].csi for i in part])
+                _validate_csi(csi)
+                yield key, part, csi
+    except Exception:  # whatever failed, validate() names the first faulty record
+        for record in records:
+            record.validate()
+        raise
 
 
 def common_n_rx(records: list[RawCsiRecord]) -> int:
@@ -290,37 +332,31 @@ def parse_binary_trace(data: bytes) -> list[RawCsiRecord]:
 
 def encode_binary_trace(records: list[RawCsiRecord]) -> bytes:
     """Exact inverse of parse_binary_trace at the record level."""
-    # (n_rx, n_tx, antenna_perm[:n_rx]) -> record indices
-    groups: dict[tuple, list[int]] = {}
-    starts = []
-    size = 0
-    for i, record in enumerate(records):
-        record.validate()
-        layout = (record.n_rx, record.n_tx, tuple(record.antenna_perm[: record.n_rx]))
-        groups.setdefault(layout, []).append(i)
-        starts.append(size)
-        size += 3 + _HEADER_BYTES + csi_payload_len(record.n_rx, record.n_tx)
+    payloads: list[np.ndarray] = [None] * len(records)
+    groups = _validated_groups(
+        records, lambda r: (r.n_rx, r.n_tx, tuple(r.antenna_perm[: r.n_rx])))
+    for layout, index, csi in groups:
+        components = np.empty(csi.shape + (2,), dtype=np.int8)
+        components[..., 0] = csi.real
+        components[..., 1] = csi.imag
+        for i, payload in zip(index, _pack_group(components, *layout)):
+            payloads[i] = payload
 
-    out = np.zeros(size, dtype=np.uint8)
-    for record, start in zip(records, starts):
+    out = np.zeros(sum(3 + _HEADER_BYTES + p.size for p in payloads), dtype=np.uint8)
+    start = 0
+    for record, payload in zip(records, payloads):
         perm = record.antenna_perm
-        payload_len = csi_payload_len(record.n_rx, record.n_tx)
-        frame_len = 1 + _HEADER_BYTES + payload_len
+        frame_len = 1 + _HEADER_BYTES + payload.size
         _FRAME_AND_HEADER.pack_into(
             out, start, frame_len >> 8, frame_len & 0xFF, CSI_RECORD_CODE,
             record.timestamp_low, record.bfee_count, record.n_rx, record.n_tx,
             *record.rssi, record.noise, record.agc,
             perm[0] | (perm[1] << 2) | (perm[2] << 4),
-            payload_len, record.rate_flags,
+            payload.size, record.rate_flags,
         )
-    for layout, index in groups.items():
-        components = np.empty((len(index), N_SUBCARRIERS, *layout[:2], 2), dtype=np.int8)
-        for g, i in enumerate(index):
-            components[g, ..., 0] = records[i].csi.real
-            components[g, ..., 1] = records[i].csi.imag
-        for i, payload in zip(index, _pack_group(components, *layout)):
-            start = starts[i] + 3 + _HEADER_BYTES
-            out[start : start + payload.size] = payload
+        start += 3 + _HEADER_BYTES
+        out[start : start + payload.size] = payload
+        start += payload.size
     return out.tobytes()
 
 
@@ -339,73 +375,151 @@ def _json_int(value, name: str, lineno: int) -> int:
     return value
 
 
-def _record_to_obj(record: RawCsiRecord) -> dict:
-    flat = record.csi.reshape(-1)  # subcarrier-major, rx, tx innermost
-    return {
-        "timestamp_low": record.timestamp_low,
-        "bfee_count": record.bfee_count,
-        "n_rx": record.n_rx,
-        "n_tx": record.n_tx,
-        "rssi": list(record.rssi),
-        "noise": record.noise,
-        "agc": record.agc,
-        "antenna_perm": list(record.antenna_perm),
-        "rate_flags": record.rate_flags,
-        "csi": np.stack((flat.real, flat.imag), axis=1).astype(np.int64).tolist(),
-    }
+@functools.lru_cache(maxsize=None)
+def _line_template(n_rx: int, n_tx: int) -> str:
+    """The canonical line of one layout as a %-template.
+
+    It takes the header values in _TEXT_FIELDS order (rssi and antenna_perm
+    as three values each), then the real and imaginary part of each CSI
+    entry.  Filled with Python ints, it gives the bytes of json.dumps with
+    separators=(",", ":") of the record's object, keys in that order.
+    """
+    pairs = ",".join(["[%d,%d]"] * (N_SUBCARRIERS * n_rx * n_tx))
+    return ('{"timestamp_low":%d,"bfee_count":%d,"n_rx":%d,"n_tx":%d,"rssi":[%d,%d,%d],'
+            '"noise":%d,"agc":%d,"antenna_perm":[%d,%d,%d],"rate_flags":%d,'
+            '"csi":[' + pairs + ']}\n')
 
 
 def write_text_trace(records: list[RawCsiRecord]) -> str:
     """Serialize records to the canonical JSON-lines text format."""
-    lines = []
-    for record in records:
+    lines: list[str] = [""] * len(records)
+    for layout, index, csi in _validated_groups(records, lambda r: (r.n_rx, r.n_tx)):
+        template = _line_template(*layout)
+        # csi[k, port, t] as (re, im) pairs, subcarrier-major: one row per record.
+        rows = np.asarray(csi, dtype=np.complex128).view(np.float64)
+        for i, row in zip(index, rows.reshape(len(index), -1).astype(np.int64).tolist()):
+            r = records[i]
+            lines[i] = template % (r.timestamp_low, r.bfee_count, r.n_rx, r.n_tx, *r.rssi,
+                                   r.noise, r.agc, *r.antenna_perm, r.rate_flags, *row)
+    return "".join(lines)
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_matchers():
+    """Matchers of the line write_text_trace writes: (head.match, pairs.fullmatch).
+
+    The head holds the header values as groups and ends at '"csi":[['; the
+    pairs are the text between that and the closing ']]}'.
+    Integers follow JSON's grammar.  A header integer has at most 10
+    digits (a u32 has 10) and a CSI component at most 3, so int() and
+    np.fromstring only ever see short, well-formed numbers.  Compiled on
+    first use, to keep them out of the import time.
+    """
+    value = r"(-?(?:[1-9][0-9]{0,9}|0))"
+    component = r"-?(?:[1-9][0-9]{0,2}|0)"
+    pair = component + "," + component
+    head = re.compile(
+        r'\{"timestamp_low":' + value + ',"bfee_count":' + value
+        + r',"n_rx":([1-3]),"n_tx":([1-3]),"rssi":\[' + value + "," + value + "," + value
+        + r'\],"noise":' + value + ',"agc":' + value
+        + r',"antenna_perm":\[' + value + "," + value + "," + value
+        + r'\],"rate_flags":' + value + r',"csi":\[\['
+    )
+    return head.match, re.compile(pair + r"(?:\],\[" + pair + ")*").fullmatch
+
+
+def _from_canonical(line: str, head, pairs) -> RawCsiRecord | None:
+    """The record of a canonical line; None for any other line, or if a check fails.
+
+    head and pairs are the matchers of _canonical_matchers().
+    """
+    match = head(line)
+    if match is None or not line.endswith("]]}") or not pairs(line, match.end(), len(line) - 3):
+        return None
+    (timestamp_low, bfee_count, n_rx, n_tx, rssi1, rssi2, rssi3, noise, agc,
+     perm1, perm2, perm3, rate_flags) = map(int, match.groups())
+    # The patterns admit only "c,c],[c,c..." here, "c,c,c,c..." without the
+    # brackets, so numpy's lenient number reader never sees a malformed or
+    # trailing item.
+    components = np.fromstring(line[match.end():-3].encode().translate(None, b"[]"),
+                               dtype=np.int64, sep=",")
+    if (components.size != 2 * N_SUBCARRIERS * n_rx * n_tx
+            or components.min() < -128 or components.max() > 127):
+        return None
+    csi = components.astype(np.float64).view(np.complex128)
+    record = RawCsiRecord(timestamp_low, bfee_count, n_rx, n_tx, (rssi1, rssi2, rssi3),
+                          noise, agc, (perm1, perm2, perm3), rate_flags,
+                          csi=csi.reshape(N_SUBCARRIERS, n_rx, n_tx))
+    try:
+        record._validate_header()
+    except InvariantViolation:
+        return None
+    return record
+
+
+def _from_json_line(line: str, lineno: int) -> RawCsiRecord | None:
+    """The record of any JSON object line, None for a blank line.
+
+    Raises SchemaError, with the line number, for every other line.
+    """
+    if not line.strip():
+        return None
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(lineno, f"invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SchemaError(lineno, "JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer longer than int() converts
+        raise SchemaError(lineno, f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise SchemaError(lineno, "record must be a JSON object")
+    missing = [f for f in _TEXT_FIELDS if f not in obj]
+    if missing:
+        raise SchemaError(lineno, f"missing fields: {', '.join(missing)}")
+    try:
+        ints = {name: _json_int(obj[name], name, lineno) for name in _INT_FIELDS}
+        n_rx, n_tx = ints["n_rx"], ints["n_tx"]
+        pairs = obj["csi"]
+        if len(pairs) != N_SUBCARRIERS * n_rx * n_tx:
+            raise SchemaError(
+                lineno,
+                f"csi has {len(pairs)} entries, expected "
+                f"{N_SUBCARRIERS * n_rx * n_tx}",
+            )
+        if not all(type(real) is int and type(imag) is int for real, imag in pairs):
+            raise SchemaError(lineno, "csi components must be JSON integers")
+        flat = np.array([complex(real, imag) for real, imag in pairs], dtype=np.complex128)
+        record = RawCsiRecord(
+            **ints,
+            rssi=tuple(_json_int(r, "rssi", lineno) for r in obj["rssi"]),
+            antenna_perm=tuple(
+                _json_int(p, "antenna_perm", lineno) for p in obj["antenna_perm"]
+            ),
+            csi=flat.reshape(N_SUBCARRIERS, n_rx, n_tx),
+        )
         record.validate()
-        lines.append(json.dumps(_record_to_obj(record), separators=(",", ":")))
-    return "".join(line + "\n" for line in lines)
+    except SchemaError:
+        raise
+    except (TypeError, ValueError, KeyError, OverflowError, InvariantViolation) as exc:
+        raise SchemaError(lineno, str(exc)) from exc
+    return record
 
 
 def parse_text_trace(text: str) -> list[RawCsiRecord]:
-    """Parse the canonical text format; SchemaError carries the line number."""
+    """Parse the text format; SchemaError carries the line number.
+
+    A line in write_text_trace's canonical form is read through two regular
+    expressions and one numpy call.  Any other line, or a canonical one that
+    fails a check, is read with json.loads, which raises every error.
+    """
+    head, pairs = _canonical_matchers()
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(lineno, f"invalid JSON: {exc.msg}") from exc
-        except RecursionError as exc:
-            raise SchemaError(lineno, "JSON nested too deeply") from exc
-        if not isinstance(obj, dict):
-            raise SchemaError(lineno, "record must be a JSON object")
-        missing = [f for f in _TEXT_FIELDS if f not in obj]
-        if missing:
-            raise SchemaError(lineno, f"missing fields: {', '.join(missing)}")
-        try:
-            ints = {name: _json_int(obj[name], name, lineno) for name in _INT_FIELDS}
-            n_rx, n_tx = ints["n_rx"], ints["n_tx"]
-            pairs = obj["csi"]
-            if len(pairs) != N_SUBCARRIERS * n_rx * n_tx:
-                raise SchemaError(
-                    lineno,
-                    f"csi has {len(pairs)} entries, expected "
-                    f"{N_SUBCARRIERS * n_rx * n_tx}",
-                )
-            if not all(type(re) is int and type(im) is int for re, im in pairs):
-                raise SchemaError(lineno, "csi components must be JSON integers")
-            flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-            record = RawCsiRecord(
-                **ints,
-                rssi=tuple(_json_int(r, "rssi", lineno) for r in obj["rssi"]),
-                antenna_perm=tuple(
-                    _json_int(p, "antenna_perm", lineno) for p in obj["antenna_perm"]
-                ),
-                csi=flat.reshape(N_SUBCARRIERS, n_rx, n_tx),
-            )
-            record.validate()
-        except SchemaError:
-            raise
-        except (TypeError, ValueError, KeyError, OverflowError, InvariantViolation) as exc:
-            raise SchemaError(lineno, str(exc)) from exc
+        record = _from_canonical(line, head, pairs)
+        if record is None:
+            record = _from_json_line(line, lineno)
+            if record is None:
+                continue
         records.append(record)
     return records

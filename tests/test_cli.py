@@ -280,3 +280,68 @@ def test_cli_json_line_exit_code_property(tmp_path, line):
     for command in ("calibrate", "analyze"):
         out = tmp_path / command
         assert main([command, "--in", str(trace), "--out", str(out)]) in (0, 2, 3)
+
+
+@pytest.mark.parametrize("command", ["parse", "calibrate", "analyze"])
+def test_non_utf8_trace_is_input_error(tmp_path, capsys, command):
+    trace = tmp_path / "trace.txt"
+    trace.write_bytes(_capture_text(n=3).encode() + b"\xff\xfe{}\n")
+    args = [command, "--in", str(trace), "--out", str(tmp_path / "out")]
+    if command == "parse":
+        args += ["--format", "text"]
+    assert main(args) == 2
+    assert "line 4: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_integer_beyond_int_conversion_is_input_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError past 4300 digits.
+    trace = tmp_path / "trace.txt"
+    trace.write_text(_capture_text(n=2) + json.dumps(
+        {**_VALID_OBJ, "agc": "AGC"}).replace('"AGC"', "9" * 5000) + "\n")
+    assert main(["calibrate", "--in", str(trace), "--out", str(tmp_path / "out")]) == 2
+    assert "line 3: invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("simulate", {"sim": {"n_packets": "5"}}, 'sim.n_packets must be a JSON integer, got "5"'),
+    ("simulate", {"sim": {"n_packets": True}}, "sim.n_packets must be a JSON integer"),
+    ("simulate", {"sim": {"seed": 1.5}}, "sim.seed must be a JSON integer, got 1.5"),
+    ("simulate", {"sim": {"attenuation_db": 5}}, "sim.attenuation_db must be a list, got 5"),
+    ("simulate", {"sim": {"attenuation_db": [float("nan"), 30, 30]}},
+     "sim.attenuation_db[0] must be a finite number, got NaN"),
+    ("simulate", {"sim": {"tx_power_dbm": True}}, "sim.tx_power_dbm must be a finite number"),
+    ("simulate", {"sim": {"quantize": 1}}, "sim.quantize must be a JSON boolean, got 1"),
+    ("simulate", {"sim": {"multipath": [{"gain": "x"}]}},
+     'sim.multipath[0].gain must be a finite number, got "x"'),
+    ("simulate", {"sim": {"multipath": [{"delay": 1.0}]}}, "unknown keys delay"),
+    ("simulate", {"sim": [30, 30, 30]}, "sim must be a JSON object"),
+    ("simulate", {"distortion": {"delta_deg": [0.0, 40.0]}},
+     "distortion.delta_deg needs 3 entries"),
+    ("control", {"control": {"max_iters": "x"}},
+     'control.max_iters must be a JSON integer, got "x"'),
+    ("control", {"control": {"max_iters": 8.0}}, "control.max_iters must be a JSON integer"),
+    ("control", {"sim": {"attenuation_db": [70, 70, 70], "n_packets": 20},
+                 "thresholds": {"max_loss_db": float("nan")}},
+     "thresholds.max_loss_db must be a finite number, got NaN"),
+    ("sweep", {"sweep": [["a", 1, 2]]}, 'sweep[0][0] must be a finite number, got "a"'),
+    ("sweep", {"sweep": [5]}, "sweep[0] must be a list, got 5"),
+    ("sweep", {"sweep": [[30, 30]]}, "sweep[0] needs 3 entries"),
+    ("sweep", {"sweep": [[30, 30, 30]], "thresholds": {"max_loss_db": "x"}},
+     'thresholds.max_loss_db must be a finite number, got "x"'),
+])
+def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, command, extra, message):
+    cfg = _write_config(tmp_path, extra)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_takes_ints_for_floats_and_null_noise_floor(tmp_path):
+    cfg = _write_config(tmp_path, {
+        "sim": {"attenuation_db": [33, 30, 36], "tx_power_dbm": -3, "n_packets": 5,
+                "noise_floor_dbm": None, "multipath": [{"gain": 1, "phase_deg": 10}]},
+        "sweep": [[30, 30, 30]],
+        "thresholds": {"max_loss_db": 60},
+    })
+    for command in ("simulate", "sweep", "control"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
