@@ -28,7 +28,6 @@ from .powercalib import (
 from .phase import (
     DifferentialPhaseSeries,
     circular_stats,
-    differential_phase,
     differential_series,
     wrap_deg,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "check_ratio_consistency",
     "calibrate",
     "wrap_deg",
-    "differential_phase",
     "differential_series",
     "DifferentialPhaseSeries",
     "circular_stats",

@@ -67,6 +67,8 @@ class SimConfig:
     def validate(self) -> None:
         if self.n_packets < 1:
             raise ConfigError("n_packets must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not 1 <= len(self.attenuation_db) <= 3:
             raise ConfigError("attenuation_db needs 1 to 3 entries")
         if len(self.multipath) < 1:
@@ -74,8 +76,11 @@ class SimConfig:
         if self.noise_floor_dbm is not None and \
                 self.noise_floor_dbm >= self.tx_power_dbm:
             raise ConfigError("noise floor must sit below transmit power")
-        if self.agc_min_db >= self.agc_max_db:
-            raise ConfigError("agc_min_db must be < agc_max_db")
+        if not 0 <= self.agc_min_db < self.agc_max_db <= 255:
+            raise ConfigError("need 0 <= agc_min_db < agc_max_db <= 255, "
+                              "the range of the AGC readout")
+        self.calibration_constants()
+        _linear_scales(self)
 
     def calibration_constants(self) -> CalibrationConstants:
         """The constants that calibrate this chain's readouts."""
@@ -107,6 +112,33 @@ class PhaseDistortion:
     delta_deg: tuple[float, ...] = (0.0, 0.0, 0.0)
 
 
+def _linear_scales(config: SimConfig) -> tuple[list[float], float, float]:
+    """(port powers in mW, noise std per part and subcarrier, count scale).
+
+    The count scale takes a port whose amplified power hits the ADC target
+    to adc_ref_amplitude counts per subcarrier on a flat channel.  Raises
+    ConfigError when a power, or the count scale at the top AGC clamp,
+    leaves the float range.
+    """
+    try:
+        port_power_lin = [10.0 ** ((config.tx_power_dbm - a) / 10.0)
+                          for a in config.attenuation_db]
+        if config.noise_floor_dbm is None:
+            noise_scale = 0.0
+        else:
+            per_sub = 10.0 ** (config.noise_floor_dbm / 10.0) / N_SUBCARRIERS
+            noise_scale = math.sqrt(per_sub / 2.0)
+        kappa = config.adc_ref_amplitude * math.sqrt(N_SUBCARRIERS) / \
+            10.0 ** (config.adc_target_dbm / 20.0)
+        top_scale = kappa * 10.0 ** (config.agc_max_db / 20.0)
+    except (OverflowError, ZeroDivisionError):
+        top_scale = math.inf
+    if not math.isfinite(top_scale):
+        raise ConfigError("chain values put a linear power or the count scale "
+                          "beyond the float range")
+    return port_power_lin, noise_scale, kappa
+
+
 def _unit_channel(config: SimConfig) -> np.ndarray:
     """Complex channel shape normalized to unit total power over subcarriers."""
     k = np.arange(N_SUBCARRIERS)
@@ -129,34 +161,28 @@ def simulate_capture(
     the phase jitter (only when pdd_jitter_deg is set), then the real parts
     of the (n_rx, 30) noise, then the imaginary parts.  Noise is drawn even
     when noise_floor_dbm is None.  The whole capture is computed as
-    (T, n_rx, 30) arrays; each record's csi is a view into them.
+    (T, n_rx, 30) arrays; each record's csi is a view into them.  Values
+    whose arithmetic leaves the float range raise ConfigError.
     """
     config.validate()
-    if distortion is None:
-        distortion = PhaseDistortion()
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _simulate(config, distortion or PhaseDistortion())
+    except FloatingPointError as exc:
+        raise ConfigError(f"the simulated chain leaves the float range ({exc})") from exc
+
+
+def _simulate(config: SimConfig, distortion: PhaseDistortion) -> list[RawCsiRecord]:
     rng = np.random.default_rng(config.seed)
     n_rx = len(config.attenuation_db)
     n_packets = config.n_packets
     u = _unit_channel(config)  # (K,)
     k = np.arange(N_SUBCARRIERS)
 
-    port_power_lin = np.array(
-        [10.0 ** ((config.tx_power_dbm - a) / 10.0) for a in config.attenuation_db]
-    )
+    port_power_lin, noise_scale, kappa = _linear_scales(config)
     # Per-subcarrier complex signal per port; sum over subcarriers of |x|^2
     # equals the port power in mW.
-    x = np.sqrt(port_power_lin)[:, None] * u[None, :]  # (n_rx, K)
-
-    if config.noise_floor_dbm is None:
-        noise_scale = 0.0
-    else:
-        per_sub = 10.0 ** (config.noise_floor_dbm / 10.0) / N_SUBCARRIERS
-        noise_scale = math.sqrt(per_sub / 2.0)
-
-    # Count scale: a port whose amplified power hits the ADC target digitizes
-    # to adc_ref_amplitude counts per subcarrier on a flat channel.
-    kappa = config.adc_ref_amplitude * math.sqrt(N_SUBCARRIERS) / \
-        10.0 ** (config.adc_target_dbm / 20.0)
+    x = np.sqrt(np.array(port_power_lin))[:, None] * u[None, :]  # (n_rx, K)
 
     # One row of normals per packet, in the per-packet draw order.  Every
     # step below repeats the operations of a per-packet computation, in
@@ -209,6 +235,9 @@ def simulate_capture(
         np.round(readout, out=readout)
         np.clip(readout, 0, 255, out=readout)
         readout = readout.astype(np.int64)
+    else:
+        # Calibration squares and sums the counts: overflow raises here.
+        np.square(np.abs(y)).sum(axis=(1, 2))
     pad = (0,) * (3 - n_rx)
     rssi = [tuple(row) + pad for row in readout.tolist()]
 
@@ -263,8 +292,6 @@ def run_sweep(
 
         ratio_max: dict[str, float] = {}
         for record in records:
-            if len(record.present_ports()) < 2:
-                continue
             for pr in check_ratio_consistency(record, consts):
                 if math.isnan(pr.discrepancy_db):
                     continue

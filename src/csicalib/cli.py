@@ -18,8 +18,6 @@ from dataclasses import fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .autocontrol import ControlSettings, closed_loop, estimate_losses, trajectory_to_jsonl
 from .chipsim import (
@@ -28,44 +26,23 @@ from .chipsim import (
     run_sweep,
     simulate_capture,
 )
-from .errors import (
-    AbsentPort,
-    AllZeroCsi,
-    BadPermutation,
-    ConfigError,
-    CsiCalibError,
-    EmptyInput,
-    InsufficientData,
-    InsufficientPorts,
-    InvariantViolation,
-    LengthMismatch,
-    MixedLayout,
-    SchemaError,
-    TruncatedRecord,
-    ZeroChannel,
-)
+from .errors import ConfigError, CsiCalibError, SchemaError
 from .ingest import (
     CalibrationConstants,
     common_n_rx,
     encode_binary_trace,
     parse_binary_trace,
     parse_text_trace,
+    split_lines,
     write_text_trace,
 )
 from .phase import differential_series, series_to_csv
 from .powercalib import calibrate, canonical_pairs, frames_to_csv, pair_label
-from .quality import QualityThresholds, classify, stats_to_csv, variation_stats
+from .quality import QualityThresholds, classify, csv_cell, stats_to_csv, variation_stats
 from .svgchart import line_chart
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_DOMAIN = 3
-EXIT_CONFIG = 4
-
-_INPUT_ERRORS = (SchemaError, TruncatedRecord, LengthMismatch, BadPermutation,
-                 InvariantViolation)
-_DOMAIN_ERRORS = (AbsentPort, AllZeroCsi, EmptyInput, ZeroChannel,
-                  InsufficientData, InsufficientPorts, MixedLayout)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -199,14 +176,21 @@ def _distortion(obj: dict, n_rx: int) -> PhaseDistortion:
 
 
 def _thresholds(obj: dict) -> QualityThresholds:
-    return _dataclass_from(QualityThresholds, obj.get("thresholds", {}), "thresholds")
+    thresholds = _dataclass_from(QualityThresholds, obj.get("thresholds", {}), "thresholds")
+    thresholds.validate()
+    return thresholds
 
 
 def _resolve_seed(args) -> int | None:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("CSI_CALIB_SEED")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"CSI_CALIB_SEED must be an integer, got {env!r}") from None
 
 
 def _write_manifest(out_dir: Path, args, seed=None, inputs=()) -> None:
@@ -225,11 +209,9 @@ def _write_manifest(out_dir: Path, args, seed=None, inputs=()) -> None:
 def _read_trace(path: str):
     try:
         text = Path(path).read_bytes().decode("utf-8")
-    except OSError as exc:
-        raise SchemaError(0, f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         # The line of the first undecodable byte, counted as the parser counts.
-        line = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
+        line = len(split_lines(exc.object[: exc.start].decode("utf-8")))
         raise SchemaError(line, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     return parse_text_trace(text)
 
@@ -314,62 +296,39 @@ def _cmd_sweep(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    ports = [f"port {p + 1}" for p in range(n_rx)]
+    pairs = [pair_label(pair) for pair in canonical_pairs(n_rx)]
+    values = [[*res.stats.port_amp_std_db(), *res.stats.pair_phase_std_deg(),
+               *(res.rssi_deviation_db.get(p, math.nan) for p in range(n_rx)),
+               max(res.ratio_max_abs_db.values(), default=math.nan)] for res in results]
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(
         ["index"]
         + [f"attenuation_port{p + 1}_db" for p in range(n_rx)]
         + [f"amp_std_port{p + 1}_db" for p in range(n_rx)]
-        + [f"phase_std_{pair_label(pair)}_deg" for pair in canonical_pairs(n_rx)]
+        + [f"phase_std_{label}_deg" for label in pairs]
         + [f"rssi_deviation_port{p + 1}_db" for p in range(n_rx)]
         + ["max_ratio_discrepancy_db", "verdict"]
     )
-    for idx, res in enumerate(results):
-        amp_std = res.stats.port_amp_std_db()
-        phase_std = res.stats.pair_phase_std_deg()
-        max_disc = max(res.ratio_max_abs_db.values(), default=math.nan)
-        writer.writerow(
-            [idx]
-            + [f"{a:g}" for a in res.config.attenuation_db]
-            + [f"{v:.4f}" for v in amp_std]
-            + [f"{v:.4f}" if not np.isnan(v) else "" for v in phase_std]
-            + [f"{res.rssi_deviation_db.get(p, math.nan):.4f}" for p in range(n_rx)]
-            + [f"{max_disc:.4f}" if not math.isnan(max_disc) else "",
-               res.verdict.cls]
-        )
+    for idx, (res, row) in enumerate(zip(results, values)):
+        writer.writerow([idx] + [f"{a:g}" for a in res.config.attenuation_db]
+                        + [csv_cell(v) for v in row] + [res.verdict.cls])
     (out_dir / "report.csv").write_text(buf.getvalue())
 
+    # Each chart plots report columns, in order, against the largest attenuation.
     xs = [max(res.config.attenuation_db) for res in results]
-    amp_series = [
-        (f"port {p + 1}",
-         xs,
-         [float(res.stats.port_amp_std_db()[p]) for res in results])
-        for p in range(n_rx)
-    ]
-    (out_dir / "amp_std.svg").write_text(
-        line_chart(amp_series, title="Amplitude STD vs attenuation",
-                   x_label="max attenuation (dB)", y_label="amplitude STD (dB)")
-    )
-    phase_series = [
-        (f"pair {pair_label(pair)}",
-         xs,
-         [float(res.stats.pair_phase_std_deg()[i]) for res in results])
-        for i, pair in enumerate(results[0].stats.pairs)
-    ]
-    (out_dir / "phase_std.svg").write_text(
-        line_chart(phase_series, title="Phase STD vs attenuation",
-                   x_label="max attenuation (dB)", y_label="phase STD (deg)")
-    )
-    dev_series = [
-        (f"port {p + 1}",
-         xs,
-         [float(res.rssi_deviation_db.get(p, math.nan)) for res in results])
-        for p in range(n_rx)
-    ]
-    (out_dir / "rssi_deviation.svg").write_text(
-        line_chart(dev_series, title="RSSI deviation vs attenuation",
-                   x_label="max attenuation (dB)", y_label="deviation (dB)")
-    )
+    columns = iter(zip(*values))
+    for name, title, y_label, labels in (
+        ("amp_std.svg", "Amplitude STD vs attenuation", "amplitude STD (dB)", ports),
+        ("phase_std.svg", "Phase STD vs attenuation", "phase STD (deg)",
+         [f"pair {label}" for label in pairs]),
+        ("rssi_deviation.svg", "RSSI deviation vs attenuation", "deviation (dB)", ports),
+    ):
+        series = [(label, xs, [float(v) for v in next(columns)]) for label in labels]
+        (out_dir / name).write_text(line_chart(
+            series, title=title, x_label="max attenuation (dB)", y_label=y_label))
     _write_manifest(out_dir, args, seed=base.seed)
     return EXIT_OK
 
@@ -412,21 +371,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _INPUT_ERRORS as exc:
+    except CsiCalibError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except CsiCalibError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 import struct
 from dataclasses import dataclass, field
@@ -20,6 +21,7 @@ import numpy as np
 
 from .errors import (
     BadPermutation,
+    ConfigError,
     InvariantViolation,
     LengthMismatch,
     MixedLayout,
@@ -51,7 +53,17 @@ class CalibrationConstants:
 
     def __post_init__(self):
         if not self.agc_min < self.agc_max:
-            raise InvariantViolation("agc_min must be < agc_max")
+            raise ConfigError("agc_min must be < agc_max")
+        # A present port's power, RSSI 1..255 minus AGC 0..255 minus c_fixed,
+        # and the sum over three ports must be positive and finite in mW.
+        try:
+            low = 10.0 ** ((1 - 255 - self.c_fixed) / 10.0)
+            high = 3 * 10.0 ** ((255 - self.c_fixed) / 10.0)
+        except OverflowError:
+            low = high = math.inf
+        if not 0.0 < low <= high < math.inf:
+            raise ConfigError(f"c_fixed={self.c_fixed} dB puts calibrated port powers "
+                              "beyond the float range")
 
 
 #: Header fields held as Python ints; rssi and antenna_perm hold ints too.
@@ -506,6 +518,16 @@ def _from_json_line(line: str, lineno: int) -> RawCsiRecord | None:
     return record
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of a text trace, broken only at \\n, \\r\\n and \\r.
+
+    Unlike str.splitlines, which also breaks at \\f, \\x85, U+2028 and more.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def parse_text_trace(text: str) -> list[RawCsiRecord]:
     """Parse the text format; SchemaError carries the line number.
 
@@ -515,7 +537,7 @@ def parse_text_trace(text: str) -> list[RawCsiRecord]:
     """
     head, pairs = _canonical_matchers()
     records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         record = _from_canonical(line, head, pairs)
         if record is None:
             record = _from_json_line(line, lineno)

@@ -31,12 +31,6 @@ def wrap_deg(angle_deg):
     return _wrap_in_place(np.array(angle_deg, dtype=float))[()]
 
 
-def _check_ports(record: RawCsiRecord, pair: tuple[int, int]) -> None:
-    for port in pair:
-        if port >= record.n_rx or record.rssi[port] == 0:
-            raise AbsentPort(f"port {port + 1} absent")
-
-
 def _phase_difference(hi: np.ndarray, hj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Wrapped angle(hi) - angle(hj) in degrees, elementwise, any shape.
 
@@ -57,18 +51,6 @@ def _phase_difference(hi: np.ndarray, hj: np.ndarray) -> tuple[np.ndarray, np.nd
     return phase, mask
 
 
-def differential_phase(
-    record: RawCsiRecord, pair: tuple[int, int], tx: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-subcarrier phase difference between two ports of one record.
-
-    Returns (phase_deg, unmeasurable_mask); masked entries hold NaN.
-    """
-    _check_ports(record, pair)
-    i, j = pair
-    return _phase_difference(record.csi[:, i, tx], record.csi[:, j, tx])
-
-
 @dataclass
 class DifferentialPhaseSeries:
     """Differential phase of one ordered port pair over a whole capture."""
@@ -83,20 +65,29 @@ class DifferentialPhaseSeries:
 
 
 def differential_series(
-    records: list[RawCsiRecord], pair: tuple[int, int], tx: int = 0
+    records: list[RawCsiRecord], pair: tuple[int, int]
 ) -> DifferentialPhaseSeries:
-    """Differential phase of every record, computed over the whole capture."""
+    """Differential phase of every record on the first transmit stream.
+
+    A record where either port of the pair reads absent (RSSI 0) has no
+    pair phase: its whole row is masked, as a zero CSI entry is.  A pair
+    port beyond a record's n_rx raises AbsentPort.
+    """
     i, j = pair
-    for record in records:
-        _check_ports(record, pair)
-    if not records:
-        phase = np.empty((0, N_SUBCARRIERS))
-        return DifferentialPhaseSeries(pair=pair, phase_deg=phase,
-                                       unmeasurable_mask=phase.astype(bool))
+    absent = []
+    for t, record in enumerate(records):
+        for port in pair:
+            if port >= record.n_rx:
+                raise AbsentPort(f"port {port + 1} absent")
+        if record.rssi[i] == 0 or record.rssi[j] == 0:
+            absent.append(t)
+    # The reshape gives an empty capture its (0, 30) shape.
     phase, mask = _phase_difference(
-        np.array([r.csi[:, i, tx] for r in records]),
-        np.array([r.csi[:, j, tx] for r in records]),
+        np.array([r.csi[:, i, 0] for r in records]).reshape(-1, N_SUBCARRIERS),
+        np.array([r.csi[:, j, 0] for r in records]).reshape(-1, N_SUBCARRIERS),
     )
+    phase[absent] = np.nan
+    mask[absent] = True
     return DifferentialPhaseSeries(pair=pair, phase_deg=phase, unmeasurable_mask=mask)
 
 

@@ -99,14 +99,13 @@ class PairRatio:
 def check_ratio_consistency(
     record: RawCsiRecord, consts: CalibrationConstants
 ) -> list[PairRatio]:
-    """Report the RSSI vs CSI power-ratio agreement for each present pair.
+    """Report the RSSI vs CSI power-ratio agreement for each canonical pair.
 
-    Reporting only: a large discrepancy never raises.  Pairs involving an
-    all-zero CSI row are reported with NaN ratio and discrepancy.
+    Reporting only: a large discrepancy never raises.  A pair with an
+    absent port (RSSI 0) has no ratio: all three values are NaN.  A pair
+    with an all-zero CSI row keeps its RSSI ratio and gets NaN CSI ratio
+    and discrepancy.  A one-port record has no pair and gives [].
     """
-    present = record.present_ports()
-    if len(present) < 2:
-        raise AbsentPort("need at least two present ports")
     # log10 of each port's CSI power, None for an all-zero row.  Each row
     # is C-contiguous, so its sum runs in the order, and gives the bits, of
     # the sum csi_power_ratio_db takes over record.csi[:, p, :].
@@ -116,13 +115,11 @@ def check_ratio_consistency(
     log_power = [math.log10(s) if s != 0.0 else None for s in power.sum(axis=1).tolist()]
     results = []
     for j, i in canonical_pairs(record.n_rx):
-        if i not in present or j not in present:
-            continue
-        rssi_ratio = float(record.rssi[j] - record.rssi[i])
-        if log_power[j] is None or log_power[i] is None:
-            csi_ratio = math.nan
-        else:
-            csi_ratio = 10.0 * (log_power[j] - log_power[i])
+        rssi_ratio = csi_ratio = math.nan
+        if record.rssi[j] != 0 and record.rssi[i] != 0:
+            rssi_ratio = float(record.rssi[j] - record.rssi[i])
+            if log_power[j] is not None and log_power[i] is not None:
+                csi_ratio = 10.0 * (log_power[j] - log_power[i])
         results.append(
             PairRatio(
                 pair=(j, i),

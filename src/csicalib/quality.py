@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientData
+from .errors import ConfigError, InsufficientData
 from .ingest import N_SUBCARRIERS, CalibrationConstants, RawCsiRecord, common_n_rx
 from .phase import circular_stats, differential_series
 from .powercalib import calibrate, canonical_pairs, pair_label
@@ -48,6 +48,12 @@ class QualityThresholds:
     spread_reliable_db: float = 10.0
     spread_unmeasurable_db: float = 30.0
     zero_fraction_max: float = 0.5
+
+    def validate(self) -> None:
+        if not self.spread_reliable_db <= self.spread_unmeasurable_db:
+            raise ConfigError("spread_reliable_db must not exceed spread_unmeasurable_db")
+        if not 0.0 <= self.zero_fraction_max <= 1.0:
+            raise ConfigError("zero_fraction_max must lie in [0, 1]")
 
 
 @dataclass
@@ -94,16 +100,13 @@ class QualityVerdict:
 
 
 def variation_stats(
-    records: list[RawCsiRecord],
-    consts: CalibrationConstants,
-    pairs: tuple[tuple[int, int], ...] | None = None,
+    records: list[RawCsiRecord], consts: CalibrationConstants
 ) -> VariationStats:
     """Amplitude/phase variation over a capture of a static channel."""
     if len(records) < 2:
         raise InsufficientData("need at least two records")
     n_rx = common_n_rx(records)
-    if pairs is None:
-        pairs = canonical_pairs(n_rx)
+    pairs = canonical_pairs(n_rx)
 
     frames = [calibrate(r, consts) for r in records]
     amp = np.array([f.amplitude_dbm[:, :, 0] for f in frames])  # (T, 30, n_rx)
@@ -116,14 +119,7 @@ def variation_stats(
     phase_mean = np.full((len(pairs), n_sc), np.nan)
     phase_std = np.full((len(pairs), n_sc), np.nan)
     for pi, pair in enumerate(pairs):
-        # Records where either port reads absent contribute no phase.
-        usable = [
-            r for r in records
-            if r.rssi[pair[0]] != 0 and r.rssi[pair[1]] != 0
-        ]
-        if len(usable) < 2:
-            continue
-        series = differential_series(usable, pair)
+        series = differential_series(records, pair)
         for k in range(n_sc):
             col = series.phase_deg[:, k]
             col = col[~np.isnan(col)]
@@ -152,7 +148,7 @@ def variation_stats(
         phase_mean_deg=phase_mean,
         phase_std_deg=phase_std,
         zero_fraction=zero_fraction,
-        pairs=tuple(pairs),
+        pairs=pairs,
         agc_readouts=tuple(int(r.agc) for r in records),
         port_power_mean_dbm=port_power,
         n_records=len(records),
@@ -240,8 +236,13 @@ def classify(
                           reasons=[reason for _, reason in checks])
 
 
+def csv_cell(value: float) -> str:
+    """A CSV value with four decimals; NaN, a value that does not exist, is empty."""
+    return "" if math.isnan(value) else f"{value:.4f}"
+
+
 def stats_to_csv(rows: list[tuple[str, VariationStats]]) -> str:
-    """Per-capture STD table: one row per capture, Table-style columns."""
+    """Per-capture STD table: one row per capture (docs/FORMATS.md)."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     header = ["label"]
@@ -252,9 +253,7 @@ def stats_to_csv(rows: list[tuple[str, VariationStats]]) -> str:
         header += [f"zero_fraction_port{p + 1}" for p in range(first.amp_std_db.shape[0])]
     writer.writerow(header)
     for label, stats in rows:
-        row = [label]
-        row += [f"{v:.4f}" for v in stats.port_amp_std_db()]
-        row += [f"{v:.4f}" if not np.isnan(v) else "" for v in stats.pair_phase_std_deg()]
-        row += [f"{v:.4f}" for v in stats.zero_fraction]
-        writer.writerow(row)
+        values = [*stats.port_amp_std_db(), *stats.pair_phase_std_deg(),
+                  *stats.zero_fraction]
+        writer.writerow([label] + [csv_cell(v) for v in values])
     return buf.getvalue()

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from csicalib import (
     circular_stats,
-    differential_phase,
     differential_series,
     wrap_deg,
 )
@@ -29,9 +28,14 @@ def _two_port_record(row_i, row_j):
     return make_record(csi=csi, n_rx=2, rssi=(40, 40, 0))
 
 
+def _record_phase(record, pair):
+    series = differential_series([record], pair)
+    return series.phase_deg[0], series.unmeasurable_mask[0]
+
+
 def test_differential_quadrature():
     record = _two_port_record(np.full(30, 1j), np.ones(30))
-    phase, mask = differential_phase(record, (1, 0))
+    phase, mask = _record_phase(record, (1, 0))
     assert not mask.any()
     np.testing.assert_allclose(phase, 90.0, atol=1e-12)
 
@@ -41,11 +45,11 @@ def test_differential_common_rotation_invariant():
     row_j = rng.normal(size=30) + 1j * rng.normal(size=30)
     row_i = rng.normal(size=30) + 1j * rng.normal(size=30)
     record = _two_port_record(row_i, row_j)
-    base, _ = differential_phase(record, (1, 0))
+    base, _ = _record_phase(record, (1, 0))
     for angle in (13.7, 91.0, 200.0, -77.3):
         rot = np.exp(1j * math.radians(angle))
         record2 = _two_port_record(row_i * rot, row_j * rot)
-        rotated, _ = differential_phase(record2, (1, 0))
+        rotated, _ = _record_phase(record2, (1, 0))
         np.testing.assert_allclose(
             wrap_deg(rotated - base), 0.0, atol=1e-9
         )
@@ -56,8 +60,8 @@ def test_differential_antisymmetric():
     row_j = rng.integers(-50, 51, 30) + 1j * rng.integers(-50, 51, 30)
     row_i = rng.integers(-50, 51, 30) + 1j * rng.integers(-50, 51, 30)
     record = _two_port_record(row_i, row_j)
-    fwd, mask = differential_phase(record, (1, 0))
-    rev, _ = differential_phase(record, (0, 1))
+    fwd, mask = _record_phase(record, (1, 0))
+    rev, _ = _record_phase(record, (0, 1))
     ok = ~mask
     np.testing.assert_allclose(
         wrap_deg(fwd[ok] + rev[ok]), np.where(np.isclose(np.abs(fwd[ok]), 180), fwd[ok] * 2 % 360, 0), atol=1e-9
@@ -68,15 +72,27 @@ def test_differential_masks_zero_entries():
     row_j = np.ones(30, dtype=complex)
     row_i = np.zeros(30, dtype=complex)
     record = _two_port_record(row_i, row_j)
-    phase, mask = differential_phase(record, (1, 0))
+    phase, mask = _record_phase(record, (1, 0))
     assert mask.all()
     assert np.isnan(phase).all()
 
 
-def test_differential_absent_port():
-    record = make_record(rssi=(40, 0, 31))
-    with pytest.raises(AbsentPort):
-        differential_phase(record, (1, 0))
+def test_differential_absent_port_masks_the_row():
+    # Port 2 reads absent in record 1: no pair with port 2 has a phase
+    # there, whatever its CSI holds; pair 1/3 is untouched.
+    records = [make_record(), make_record(rssi=(40, 0, 31)), make_record()]
+    for pair in ((1, 0), (2, 1)):
+        series = differential_series(records, pair)
+        assert series.unmeasurable_mask.tolist() == [[False] * 30, [True] * 30, [False] * 30]
+        assert np.isnan(series.phase_deg[1]).all()
+        assert not np.isnan(series.phase_deg[[0, 2]]).any()
+    assert not differential_series(records, (0, 2)).unmeasurable_mask.any()
+
+
+def test_differential_port_beyond_n_rx():
+    record = _two_port_record(np.ones(30), np.ones(30))
+    with pytest.raises(AbsentPort, match="port 3 absent"):
+        differential_series([record], (2, 1))
 
 
 def test_empty_differential_series_writes_header_only():

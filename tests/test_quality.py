@@ -170,6 +170,14 @@ def test_stats_to_csv_shape(consts):
     assert lines[1].startswith("run1,")
 
 
+def test_stats_to_csv_leaves_every_missing_value_empty(consts):
+    # Ports 2 and 3 at 90 dB read no CSI at all: no amplitude, no phase.
+    config = SimConfig(attenuation_db=(30.0, 90.0, 90.0), n_packets=30)
+    stats = variation_stats(simulate_capture(config), consts)
+    row = stats_to_csv([("weak", stats)]).splitlines()[1]
+    assert row == "weak,0.0000,,,,,,0.0000,1.0000,1.0000"
+
+
 def test_zero_fraction_matches_per_record_means(consts):
     # The reference takes each record's zero fraction with np.mean and then
     # their mean; records differ in n_tx, which weights their entries.

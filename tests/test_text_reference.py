@@ -10,6 +10,7 @@ the same errors (class, line number and message) for every input.
 """
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -52,7 +53,7 @@ def _ref_json_int(value, name, lineno):
 
 def _ref_parse_text_trace(text):
     records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(re.split("\r\n|\r|\n", text), start=1):
         if not line.strip():
             continue
         try:
@@ -178,6 +179,15 @@ def test_blank_lines_and_crlf_match_reference():
     assert status == "ok" and len(records) == 4
 
 
+@pytest.mark.parametrize("separator", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                       "\u2028", "\u2029"])
+def test_only_newline_and_carriage_return_break_lines(separator):
+    # The separator line is blank, so the bad line stays line 4.
+    text = _OTHER + "\n" + separator + "\n" + _OTHER + "\r\nnot json\n"
+    new = _assert_same_outcome(text)
+    assert new[:2] == (SchemaError, 4)
+
+
 @pytest.mark.parametrize("line", [
     json.dumps(json.loads(_LINE)),                              # spaces
     json.dumps(dict(reversed(list(json.loads(_LINE).items())))),  # reordered keys
@@ -187,6 +197,8 @@ def test_blank_lines_and_crlf_match_reference():
     _replaced('"csi":[[12,-3]', '"csi":[[12, -3]'),
     _LINE + "  ",
     " " + _LINE,
+    # Characters that str.splitlines takes for line breaks, raw in a string.
+    _replaced('"agc":28', '"agc":28,"note":"a\u2028b\u2029c\x85d"'),
 ])
 def test_valid_non_canonical_line_matches_reference(line):
     status, records = _assert_same_outcome(_three_lines(line))

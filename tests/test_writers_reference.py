@@ -16,7 +16,6 @@ import pytest
 from csicalib import (
     SimConfig,
     calibrate,
-    differential_phase,
     differential_series,
     simulate_capture,
     wrap_deg,
@@ -62,24 +61,26 @@ def _ref_series_to_csv(series_list):
     return buf.getvalue()
 
 
-def _ref_differential_phase(record, pair, tx=0):
+def _ref_differential_phase(record, pair):
     i, j = pair
     for port in (i, j):
-        if port >= record.n_rx or record.rssi[port] == 0:
+        if port >= record.n_rx:
             raise AbsentPort(f"port {port + 1} absent")
-    hi = record.csi[:, i, tx]
-    hj = record.csi[:, j, tx]
+    hi = record.csi[:, i, 0]
+    hj = record.csi[:, j, 0]
     mask = (hi == 0) | (hj == 0)
+    if record.rssi[i] == 0 or record.rssi[j] == 0:
+        mask[:] = True
     phase = np.full(hi.shape, np.nan)
     ok = ~mask
     phase[ok] = wrap_deg(np.degrees(np.angle(hi[ok])) - np.degrees(np.angle(hj[ok])))
     return phase, mask
 
 
-def _ref_differential_series(records, pair, tx=0):
+def _ref_differential_series(records, pair):
     phases, masks = [], []
     for record in records:
-        phase, mask = _ref_differential_phase(record, pair, tx=tx)
+        phase, mask = _ref_differential_phase(record, pair)
         phases.append(phase)
         masks.append(mask)
     return np.array(phases), np.array(masks)
@@ -139,23 +140,36 @@ def test_empty_inputs_match_reference():
 
 
 @pytest.mark.parametrize("name", ["balanced", "weak_port"])
-def test_series_rows_match_differential_phase(captures, name):
+def test_series_rows_match_single_record_series(captures, name):
     records = captures[name]
     for pair in canonical_pairs(3):
         s = differential_series(records, pair)
         for t, record in enumerate(records):
-            phase, mask = differential_phase(record, pair)
-            _assert_bit_identical(s.phase_deg[t], phase)
-            _assert_bit_identical(s.unmeasurable_mask[t], mask)
+            one = differential_series([record], pair)
+            _assert_bit_identical(s.phase_deg[t], one.phase_deg[0])
+            _assert_bit_identical(s.unmeasurable_mask[t], one.unmeasurable_mask[0])
 
 
-def test_absent_port_errors_match_reference(captures):
-    records = list(captures["balanced"][:10])
+def test_absent_port_rows_match_reference(captures):
+    records = list(captures["weak_port"][:10])
     records[4] = replace(records[4], rssi=(40, 40, 0))
     records[7] = replace(records[7], rssi=(0, 0, 30))
     for pair in canonical_pairs(3) + ((0, 1),):
+        s = differential_series(records, pair)
+        ref_phase, ref_mask = _ref_differential_series(records, pair)
+        _assert_bit_identical(s.phase_deg, ref_phase)
+        _assert_bit_identical(s.unmeasurable_mask, ref_mask)
+        assert s.unmeasurable_mask[7].all()
+        assert s.unmeasurable_mask[4].all() == (2 in pair)
+
+
+def test_port_beyond_n_rx_errors_match_reference(captures):
+    records = list(captures["balanced"][:10])
+    records[6] = replace(records[6], n_rx=2, rssi=(40, 40, 0),
+                         csi=records[6].csi[:, :2].copy())
+    for pair in ((2, 1), (0, 2)):
         with pytest.raises(AbsentPort) as ref:
             _ref_differential_series(records, pair)
         with pytest.raises(AbsentPort) as new:
             differential_series(records, pair)
-        assert str(new.value) == str(ref.value)
+        assert str(new.value) == str(ref.value) == "port 3 absent"
