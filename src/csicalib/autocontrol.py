@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError, InsufficientPorts
 from .chipsim import PhaseDistortion, SimConfig, simulate_capture
-from .quality import QualityThresholds, QualityVerdict, classify, classify_losses, variation_stats
+from .quality import (QualityThresholds, QualityVerdict, _as_losses, classify,
+                      classify_losses, variation_stats)
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ def recommend(
     attenuation, so any loss above the ceiling makes the action infeasible
     (zero adjustments).
     """
-    losses = [math.inf if l is None else float(l) for l in est_port_loss_db]
+    losses = _as_losses(est_port_loss_db)
     if len(losses) < 2:
         raise InsufficientPorts("need loss estimates for at least two ports")
 
@@ -94,13 +95,10 @@ class LoopStep:
     action: ControlAction
 
 
-def estimate_losses(stats_port_power: dict[int, float], n_rx: int,
-                    tx_power_dbm: float) -> tuple[float, ...]:
-    """Loss per port from measured (RSSI-derived) power; inf when absent."""
-    return tuple(
-        tx_power_dbm - stats_port_power[p] if p in stats_port_power else math.inf
-        for p in range(n_rx)
-    )
+def estimate_losses(port_power_dbm, tx_power_dbm: float) -> tuple[float, ...]:
+    """Loss per port from measured (RSSI-derived) power; inf where it is NaN."""
+    return tuple(math.inf if math.isnan(p) else tx_power_dbm - p
+                 for p in map(float, port_power_dbm))
 
 
 def closed_loop(
@@ -128,9 +126,7 @@ def closed_loop(
     for iteration in range(max_iters):
         records = simulate_capture(config, distortion)
         stats = variation_stats(records, consts)
-        est = estimate_losses(
-            stats.port_power_mean_dbm, len(config.attenuation_db), config.tx_power_dbm
-        )
+        est = estimate_losses(stats.port_power_mean_dbm, config.tx_power_dbm)
         verdict = classify(stats, est, thresholds, consts)
         if verdict.cls == "Reliable":
             action = ControlAction(

@@ -260,13 +260,19 @@ def _simulate(config: SimConfig, distortion: PhaseDistortion) -> list[RawCsiReco
 
 @dataclass
 class SweepResult:
-    """Full-pipeline outcome for one sweep configuration."""
+    """Full-pipeline outcome for one sweep configuration.
+
+    ratio_max_abs_db maps each pair label to its largest absolute RSSI vs
+    CSI ratio discrepancy over the measurable records.  rssi_deviation_db
+    is (n_rx,): each port's mean calibrated power minus its true power,
+    NaN for a port that reads absent in every record.
+    """
 
     config: SimConfig
     stats: VariationStats
     verdict: QualityVerdict
     ratio_max_abs_db: dict[str, float]
-    rssi_deviation_db: dict[int, float]
+    rssi_deviation_db: np.ndarray
 
 
 def run_sweep(
@@ -292,18 +298,15 @@ def run_sweep(
 
         ratio_max: dict[str, float] = {}
         for record in records:
-            for pr in check_ratio_consistency(record, consts):
+            for pr in check_ratio_consistency(record):
                 if math.isnan(pr.discrepancy_db):
                     continue
                 ratio_max[pr.label] = max(
                     ratio_max.get(pr.label, 0.0), abs(pr.discrepancy_db)
                 )
 
-        deviation = {
-            p: stats.port_power_mean_dbm[p]
-            - (config.tx_power_dbm - config.attenuation_db[p])
-            for p in stats.port_power_mean_dbm
-        }
+        deviation = stats.port_power_mean_dbm - (
+            config.tx_power_dbm - np.array(config.attenuation_db))
         results.append(
             SweepResult(
                 config=config,

@@ -54,11 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_consts(p):
+    def add_consts_c(p):
         p.add_argument("--consts-c", type=float, default=CalibrationConstants.c_fixed,
                        help="fixed chain offset C in dB (default %(default)g)")
-        p.add_argument("--agc-min", type=int, default=CalibrationConstants.agc_min)
-        p.add_argument("--agc-max", type=int, default=CalibrationConstants.agc_max)
 
     p = sub.add_parser("parse", help="convert between binary and text traces")
     p.add_argument("--in", dest="in_path", required=True)
@@ -69,14 +67,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="amplitude/phase CSV from a text trace")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    add_consts(p)
+    add_consts_c(p)
 
     p = sub.add_parser("analyze", help="variation stats and quality verdict")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--tx-power", type=float, default=None,
                    help="known transmit power (dBm) for loss estimation")
-    add_consts(p)
+    add_consts_c(p)
+    p.add_argument("--agc-min", type=int, default=CalibrationConstants.agc_min,
+                   help="AGC readout that counts as pinned low (default %(default)d)")
+    p.add_argument("--agc-max", type=int, default=CalibrationConstants.agc_max,
+                   help="AGC readout that counts as pinned high (default %(default)d)")
 
     for name in ("simulate", "sweep", "control"):
         p = sub.add_parser(name)
@@ -86,12 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="seed override (falls back to CSI_CALIB_SEED, "
                             "then the config value)")
     return parser
-
-
-def _consts_from_args(args) -> CalibrationConstants:
-    return CalibrationConstants(
-        c_fixed=args.consts_c, agc_min=args.agc_min, agc_max=args.agc_max
-    )
 
 
 def _load_json(path: str) -> dict:
@@ -231,7 +227,7 @@ def _cmd_parse(args) -> int:
 def _cmd_calibrate(args) -> int:
     records = _read_trace(args.in_path)
     n_rx = common_n_rx(records) if records else 0
-    consts = _consts_from_args(args)
+    consts = CalibrationConstants(c_fixed=args.consts_c)
     frames = [calibrate(r, consts) for r in records]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -245,11 +241,11 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     records = _read_trace(args.in_path)
-    consts = _consts_from_args(args)
+    consts = CalibrationConstants(args.consts_c, args.agc_min, args.agc_max)
     stats = variation_stats(records, consts)
     losses = None
     if args.tx_power is not None:
-        losses = estimate_losses(stats.port_power_mean_dbm, records[0].n_rx, args.tx_power)
+        losses = estimate_losses(stats.port_power_mean_dbm, args.tx_power)
     verdict = classify(stats, losses, QualityThresholds(), consts)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -299,7 +295,7 @@ def _cmd_sweep(args) -> int:
     ports = [f"port {p + 1}" for p in range(n_rx)]
     pairs = [pair_label(pair) for pair in canonical_pairs(n_rx)]
     values = [[*res.stats.port_amp_std_db(), *res.stats.pair_phase_std_deg(),
-               *(res.rssi_deviation_db.get(p, math.nan) for p in range(n_rx)),
+               *res.rssi_deviation_db,
                max(res.ratio_max_abs_db.values(), default=math.nan)] for res in results]
 
     buf = io.StringIO()

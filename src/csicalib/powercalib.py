@@ -42,13 +42,14 @@ def pair_label(pair: tuple[int, int]) -> str:
 class CalibratedFrame:
     """Absolute powers and per-subcarrier amplitudes for one record.
 
-    amplitude_dbm has the same shape as the record's CSI matrix; entries
-    whose CSI magnitude is exactly zero hold NaN, the "unmeasurable" sentinel
-    (never -inf), so downstream statistics can count rather than propagate
-    them.
+    port_power_dbm holds n_rx floats, NaN for a port that reads absent
+    (RSSI 0).  amplitude_dbm has the same shape as the record's CSI matrix;
+    entries whose CSI magnitude is exactly zero, and every entry of an
+    absent port, hold NaN, the "unmeasurable" sentinel (never -inf), so
+    downstream statistics can skip rather than propagate them.
     """
 
-    port_power_dbm: dict[int, float]
+    port_power_dbm: tuple[float, ...]
     total_power_dbm: float
     rho: float
     amplitude_dbm: np.ndarray = field(repr=False)
@@ -96,9 +97,7 @@ class PairRatio:
         return pair_label(self.pair)
 
 
-def check_ratio_consistency(
-    record: RawCsiRecord, consts: CalibrationConstants
-) -> list[PairRatio]:
+def check_ratio_consistency(record: RawCsiRecord) -> list[PairRatio]:
     """Report the RSSI vs CSI power-ratio agreement for each canonical pair.
 
     Reporting only: a large discrepancy never raises.  A pair with an
@@ -137,10 +136,13 @@ def calibrate(record: RawCsiRecord, consts: CalibrationConstants) -> CalibratedF
     if not present:
         raise AbsentPort("no present ports in record")
 
-    port_power = {p: rssi_to_dbm(record.rssi[p], record.agc, consts) for p in present}
-    p_total = total_power(port_power.values())
+    port_power = tuple([rssi_to_dbm(rssi, record.agc, consts) if rssi else math.nan
+                        for rssi in record.rssi[: record.n_rx]])
+    p_total = total_power([port_power[p] for p in present])
 
     sq = np.abs(record.csi) ** 2
+    if len(present) < record.n_rx:  # an absent port has no amplitude
+        sq[:, np.isnan(port_power), :] = 0.0
     denom = float(sq[:, present, :].sum())
     if denom == 0.0:
         raise AllZeroCsi("CSI is zero on every present port")
@@ -163,15 +165,16 @@ def calibrate(record: RawCsiRecord, consts: CalibrationConstants) -> CalibratedF
 def frames_to_csv(frames: list[CalibratedFrame]) -> str:
     """CSV with columns: packet index, port, subcarrier, amplitude_dbm.
 
-    The header block lists per-port and total powers of the first frame as
-    comment lines.  Rows end in CRLF, as the stdlib csv writer's; a NaN
-    amplitude is written as an empty value (docs/FORMATS.md).
+    The header block lists the first frame's power of each present port and
+    its total power as comment lines.  Rows end in CRLF, as the stdlib csv
+    writer's; a NaN amplitude is written as an empty value (docs/FORMATS.md).
     """
     buf = io.StringIO()
     if frames:
         first = frames[0]
-        for port in sorted(first.port_power_dbm):
-            buf.write(f"# port_power_dbm,port={port + 1},{first.port_power_dbm[port]:.4f}\n")
+        for port, power in enumerate(first.port_power_dbm):
+            if not math.isnan(power):
+                buf.write(f"# port_power_dbm,port={port + 1},{power:.4f}\n")
         buf.write(f"# total_power_dbm,{first.total_power_dbm:.4f}\n")
     write = buf.write
     write("packet,port,subcarrier,tx,amplitude_dbm\r\n")

@@ -63,6 +63,8 @@ class VariationStats:
     Amplitude arrays are (n_rx, 30) over the first transmit stream; phase
     arrays are (n_pairs, 30).  agc_readouts keeps the raw per-packet AGC
     values so saturation can be detected from readout pinning.
+    port_power_mean_dbm is (n_rx,): each port's mean calibrated power over
+    the records where it reads present, NaN if it never does.
     """
 
     amp_mean_dbm: np.ndarray = field(repr=False)
@@ -72,7 +74,7 @@ class VariationStats:
     zero_fraction: np.ndarray = field(repr=False)
     pairs: tuple[tuple[int, int], ...]
     agc_readouts: tuple[int, ...]
-    port_power_mean_dbm: dict[int, float]
+    port_power_mean_dbm: np.ndarray
     n_records: int
 
     def port_amp_std_db(self) -> np.ndarray:
@@ -136,11 +138,13 @@ def variation_stats(
     per_record = np.add.reduceat(zeros, np.cumsum(n_tx) - n_tx, axis=1)
     zero_fraction = (per_record / (N_SUBCARRIERS * n_tx)).mean(axis=1)  # (n_rx,)
 
-    port_power = {}
-    for p in range(n_rx):
-        vals = [f.port_power_dbm[p] for f in frames if p in f.port_power_dbm]
-        if vals:
-            port_power[p] = float(np.mean(vals))
+    # One contiguous row per port, so that each mean sums in np.mean's
+    # pairwise order whichever records read the port absent.
+    port_power = np.full(n_rx, np.nan)
+    for p, row in enumerate(np.array([f.port_power_dbm for f in frames]).T):
+        row = row[~np.isnan(row)]
+        if row.size:
+            port_power[p] = row.mean()
 
     return VariationStats(
         amp_mean_dbm=amp_mean,

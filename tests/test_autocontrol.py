@@ -11,6 +11,7 @@ from csicalib import (
     QualityThresholds,
     SimConfig,
     closed_loop,
+    estimate_losses,
     recommend,
     trajectory_to_jsonl,
 )
@@ -45,6 +46,13 @@ def test_over_ceiling_is_infeasible():
 def test_unmeasured_port_is_infeasible():
     action = recommend([30, None, 40])
     assert not action.feasible
+
+
+def test_estimate_losses_maps_nan_to_inf():
+    losses = estimate_losses(np.array([-36.0, np.nan, -39.5]), -3.0)
+    assert losses == (33.0, math.inf, 36.5)
+    assert all(type(l) is float for l in losses)
+    assert recommend(losses).predicted_class == recommend([33, None, 36.5]).predicted_class
 
 
 def test_needs_two_ports():

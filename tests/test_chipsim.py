@@ -185,7 +185,8 @@ def test_sweep_balanced_set_verdicts():
 
 def test_sweep_rssi_deviation_bounded():
     results = run_sweep([BALANCED], REALISTIC_DISTORTION)
-    for dev in results[0].rssi_deviation_db.values():
+    assert results[0].rssi_deviation_db.shape == (3,)
+    for dev in results[0].rssi_deviation_db:
         assert abs(dev) <= 1.5
 
 
@@ -231,7 +232,7 @@ def test_sweep_calibrates_each_config_with_its_own_chain():
                                    seed=0, c_fixed_db=50.0)]
     for res in run_sweep(configs, REALISTIC_DISTORTION):
         assert res.verdict.cls == "Reliable"
-        for deviation in res.rssi_deviation_db.values():
+        for deviation in res.rssi_deviation_db:
             assert abs(deviation) <= 1.5
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,12 +8,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from csicalib import (
+    CalibrationConstants,
     SimConfig,
+    calibrate,
     circular_stats,
     differential_series,
     encode_binary_trace,
+    estimate_losses,
     parse_text_trace,
     simulate_capture,
+    variation_stats,
     write_text_trace,
 )
 from csicalib import cli
@@ -161,6 +166,48 @@ def test_calibrate_and_analyze_mask_an_absent_port_alike(tmp_path):
         phase = differential_series(usable, pair).phase_deg
         std = np.mean([circular_stats(phase[:, k])["std_deg"] for k in range(30)])
         assert stats_row[f"phase_std_{label}_deg"] == f"{std:.4f}"
+
+    # An absent port has no amplitude: record 17's port-3 cells are empty,
+    # and that port's amplitude STD is taken over the other 49 records.
+    with open(tmp_path / "calibrate" / "amplitudes.csv", newline="") as fh:
+        amp_rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+    absent_rows = [row for row in amp_rows if row[:2] == ["17", "3"]]
+    assert len(absent_rows) == 30
+    assert all(row[-1] == "" for row in absent_rows)
+    assert all(row[-1] != "" for row in amp_rows[1:] if row[:2] != ["17", "3"])
+    frames = [calibrate(r, CalibrationConstants()) for r in records]
+    for p, used in ((0, frames), (1, frames), (2, frames[:17] + frames[18:])):
+        amp = np.array([f.amplitude_dbm[:, p, 0] for f in used])
+        std = np.mean(np.std(amp, axis=0))
+        assert stats_row[f"amp_std_port{p + 1}_db"] == f"{std:.4f}"
+
+
+def test_analyze_port_absent_in_every_record(tmp_path):
+    # Port 3 reads RSSI 0 throughout but keeps its (non-zero) CSI.
+    config = SimConfig(attenuation_db=(33.0, 30.0, 36.0), n_packets=30, seed=2)
+    records = [replace(r, rssi=(*r.rssi[:2], 0))
+               for r in simulate_capture(config, REALISTIC_DISTORTION)]
+    assert all(np.all(r.csi[:, 2, :] != 0) for r in records)
+    trace = tmp_path / "absent.txt"
+    trace.write_text(write_text_trace(records))
+    assert main(["analyze", "--in", str(trace), "--out", str(tmp_path / "ana"),
+                 "--tx-power", str(config.tx_power_dbm)]) == 0
+
+    with open(tmp_path / "ana" / "stats.csv", newline="") as fh:
+        (stats_row,) = csv.DictReader(fh)
+    assert stats_row["amp_std_port3_db"] == ""
+    assert stats_row["amp_std_port1_db"] != "" and stats_row["amp_std_port2_db"] != ""
+    assert stats_row["phase_std_2/1_deg"] != ""
+    assert stats_row["phase_std_3/2_deg"] == stats_row["phase_std_1/3_deg"] == ""
+
+    stats = variation_stats(records, CalibrationConstants())
+    assert np.all(np.isnan(stats.amp_mean_dbm[2])) and np.all(np.isnan(stats.amp_std_db[2]))
+    losses = estimate_losses(stats.port_power_mean_dbm, config.tx_power_dbm)
+    assert math.isfinite(losses[0]) and math.isfinite(losses[1])
+    assert losses[2] == math.inf
+    verdict = json.loads((tmp_path / "ana" / "verdict.json").read_text())
+    assert verdict["class"] == "PhaseUnmeasurable"
+    assert {"check": "loss_spread", "threshold": 30.0, "observed": "inf"} in verdict["reasons"]
 
 
 def test_simulate_deterministic(tmp_path):
@@ -478,6 +525,22 @@ def test_chain_offset_out_of_range_is_config_error(tmp_path, capsys, value):
         assert main([command, "--in", str(trace), "--out", str(out), f"--consts-c={value}"]) == 4
         assert "puts calibrated port powers beyond the float range" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_only_analyze_reads_the_agc_clamps(tmp_path, capsys):
+    # calibrate uses C alone; the AGC clamps only decide analyze's pinning.
+    trace = tmp_path / "trace.txt"
+    trace.write_text(_capture_text(n=5))
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--in", str(trace), "--out", str(tmp_path / "cal"),
+              "--agc-min", "20"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --agc-min 20" in capsys.readouterr().err
+    (agc,) = {r.agc for r in parse_text_trace(trace.read_text())}
+    assert main(["analyze", "--in", str(trace), "--out", str(tmp_path / "ana"),
+                 "--agc-min", str(agc), "--agc-max", "63"]) == 0
+    verdict = json.loads((tmp_path / "ana" / "verdict.json").read_text())
+    assert verdict["class"] == "AgcSaturatedLow"
 
 
 @pytest.mark.parametrize("env, flag, message", [

@@ -1,0 +1,62 @@
+"""Golden sha256 digests of the CLI's output files.
+
+Each run is seeded, so its outputs are fixed bytes: calibrate and analyze
+on a simulated 200-packet 3x1 capture, a 3-row sweep and one control run.
+A change that moves any of these files must be deliberate, and must
+update its digest here.  manifest.json is left out: it holds a timestamp.
+"""
+
+import hashlib
+import json
+from dataclasses import asdict
+
+import pytest
+
+from csicalib import SimConfig, simulate_capture, write_text_trace
+from csicalib.cli import main
+
+from conftest import REALISTIC_DISTORTION
+
+DISTORTION = asdict(REALISTIC_DISTORTION)
+
+GOLDEN = {
+    "calibrate/amplitudes.csv":
+        "20140b59eec70d5730892b240218cfc4a046991accaeb1b8bf80acafb59bd62d",
+    "calibrate/phases.csv":
+        "3fe5d57bc3f8d5d6c3343878763c88bdc274075fe8d0587ed982baf170b4f09e",
+    "analyze/stats.csv":
+        "2cb234ab347c53e1205d0b24163d0e65c414c0793c6143195db232b981faeb6c",
+    "analyze/verdict.json":
+        "68ebf330a45f3b4ee73881c14c47768b59813c72a53ee775449d1695070dcc68",
+    "sweep/report.csv":
+        "7e229f331b0b80defdf909495478b664fafee3de08bb986f476663447e15aecf",
+    "control/trajectory.jsonl":
+        "49b8b19087d044d69813f212aa53d900000cdc28782bba8d3c4d88fd320212e9",
+}
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("digests")
+    config = SimConfig(attenuation_db=(33.0, 30.0, 36.0), n_packets=200, seed=5)
+    trace = tmp / "trace.txt"
+    trace.write_text(write_text_trace(simulate_capture(config, REALISTIC_DISTORTION)))
+    sweep = {"sim": {"attenuation_db": [30, 30, 30], "n_packets": 100, "seed": 3},
+             "distortion": DISTORTION,
+             "sweep": [[33, 30, 36], [45, 30, 50], [62, 58, 60]]}
+    control = {"sim": {"attenuation_db": [20, 40, 55], "n_packets": 100, "seed": 9},
+               "distortion": DISTORTION}
+    for name, obj in (("sweep", sweep), ("control", control)):
+        (tmp / f"{name}.json").write_text(json.dumps(obj))
+
+    for argv in (["calibrate", "--in", str(trace)],
+                 ["analyze", "--in", str(trace), "--tx-power", "-3"],
+                 ["sweep", "--config", str(tmp / "sweep.json")],
+                 ["control", "--config", str(tmp / "control.json")]):
+        assert main([*argv, "--out", str(tmp / argv[0])]) == 0
+    return tmp
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_digest(outputs, name):
+    assert hashlib.sha256((outputs / name).read_bytes()).hexdigest() == GOLDEN[name]

@@ -109,10 +109,10 @@ def _record_with_csi_ratios(rssi, ratios_21_32_db):
     return make_record(csi=rows.T[:, :, None], rssi=rssi)
 
 
-def test_ratio_consistency_measured_style(consts):
+def test_ratio_consistency_measured_style():
     # RSSI ratios (3, -8, 5); CSI rows constructed to carry (3.19, -7.60, 4.41)
     record = _record_with_csi_ratios((36, 39, 31), (3.19, -7.60))
-    result = {pr.label: pr for pr in check_ratio_consistency(record, consts)}
+    result = {pr.label: pr for pr in check_ratio_consistency(record)}
     assert result["2/1"].rssi_ratio_db == 3
     assert result["3/2"].rssi_ratio_db == -8
     assert result["1/3"].rssi_ratio_db == 5
@@ -121,20 +121,20 @@ def test_ratio_consistency_measured_style(consts):
     assert result["1/3"].discrepancy_db == pytest.approx(-0.59, abs=1e-9)
 
 
-def test_ratio_consistency_identical_ports(consts):
+def test_ratio_consistency_identical_ports():
     record = _record_with_csi_ratios((40, 40, 40), (0.0, 0.0))
-    for pr in check_ratio_consistency(record, consts):
+    for pr in check_ratio_consistency(record):
         assert pr.discrepancy_db == pytest.approx(0.0, abs=1e-12)
 
 
-def test_ratio_consistency_of_one_port_is_empty(consts):
+def test_ratio_consistency_of_one_port_is_empty():
     record = make_record(n_rx=1, rssi=(40, 0, 0), csi=np.ones((30, 1, 1)))
-    assert check_ratio_consistency(record, consts) == []
+    assert check_ratio_consistency(record) == []
 
 
-def test_ratio_consistency_absent_port_pairs_are_nan(consts):
+def test_ratio_consistency_absent_port_pairs_are_nan():
     record = _record_with_csi_ratios((36, 0, 31), (3.19, -7.60))
-    result = {pr.label: pr for pr in check_ratio_consistency(record, consts)}
+    result = {pr.label: pr for pr in check_ratio_consistency(record)}
     assert list(result) == ["2/1", "3/2", "1/3"]
     for label in ("2/1", "3/2"):
         pr = result[label]
@@ -188,8 +188,11 @@ def test_calibrate_total_power_bounds(consts):
     for _ in range(30):
         record = random_record(rng)
         frame = calibrate(record, consts)
-        peak = max(frame.port_power_dbm.values())
-        n = len(frame.port_power_dbm)
+        absent = [rssi == 0 for rssi in record.rssi[: record.n_rx]]
+        assert [math.isnan(p) for p in frame.port_power_dbm] == absent
+        powers = [p for p in frame.port_power_dbm if not math.isnan(p)]
+        peak = max(powers)
+        n = len(powers)
         assert peak - 1e-9 <= frame.total_power_dbm <= peak + 10 * math.log10(n) + 1e-9
 
 
@@ -203,6 +206,23 @@ def test_calibrate_no_present_ports(consts):
     record = make_record(rssi=(0, 0, 0))
     with pytest.raises(AbsentPort):
         calibrate(record, consts)
+
+
+def test_calibrate_absent_port_has_no_amplitude(consts):
+    rng = np.random.default_rng(8)
+    csi = rng.uniform(1.0, 20.0, (30, 3, 2)) + 1j * rng.uniform(1.0, 20.0, (30, 3, 2))
+    frame = calibrate(make_record(csi=csi, n_tx=2, rssi=(36, 0, 31)), consts)
+    assert type(frame.port_power_dbm) is tuple
+    assert frame.port_power_dbm[0] == rssi_to_dbm(36, 28, consts)
+    assert math.isnan(frame.port_power_dbm[1])
+    assert frame.port_power_dbm[2] == rssi_to_dbm(31, 28, consts)
+    assert np.all(np.isnan(frame.amplitude_dbm[:, 1, :]))
+    # Power and scale come from the present ports alone, as without port 2.
+    alone = calibrate(make_record(csi=csi[:, [0, 2], :], n_rx=2, n_tx=2,
+                                  rssi=(36, 31, 0)), consts)
+    assert frame.total_power_dbm == alone.total_power_dbm
+    assert frame.rho == alone.rho
+    assert np.array_equal(frame.amplitude_dbm[:, [0, 2], :], alone.amplitude_dbm)
 
 
 def _ref_ratio_consistency(record):
@@ -221,7 +241,7 @@ def _ref_ratio_consistency(record):
     return out
 
 
-def test_ratio_consistency_matches_per_pair_sums(consts):
+def test_ratio_consistency_matches_per_pair_sums():
     rng = np.random.default_rng(21)
     for _ in range(300):
         record = random_record(rng)
@@ -232,6 +252,6 @@ def test_ratio_consistency_matches_per_pair_sums(consts):
         if record.n_rx == 3 and rng.random() < 0.2:
             record.rssi = (record.rssi[0], 0, record.rssi[2])
         got = [(pr.pair, pr.rssi_ratio_db, pr.csi_ratio_db, pr.discrepancy_db)
-               for pr in check_ratio_consistency(record, consts)]
+               for pr in check_ratio_consistency(record)]
         # repr compares floats bit for bit and lets NaN equal NaN.
         assert repr(got) == repr(_ref_ratio_consistency(record))

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from csicalib import (
+    CalibrationConstants,
     QualityThresholds,
     SimConfig,
     VariationStats,
@@ -27,7 +30,7 @@ def _stats(zero_fraction=(0.0, 0.0, 0.0), agc=(28, 28, 28), n_rx=3):
         zero_fraction=np.asarray(zero_fraction, dtype=float),
         pairs=pairs,
         agc_readouts=tuple(agc),
-        port_power_mean_dbm={p: -40.0 for p in range(n_rx)},
+        port_power_mean_dbm=np.full(n_rx, -40.0),
         n_records=len(agc),
     )
 
@@ -41,6 +44,31 @@ def test_identical_records_zero_variation(consts):
     np.testing.assert_allclose(stats.port_amp_std_db(), 0.0, atol=1e-9)
     np.testing.assert_allclose(stats.pair_phase_std_deg(), 0.0, atol=1e-9)
     np.testing.assert_allclose(stats.zero_fraction, 0.0)
+
+
+def test_port_power_mean_skips_absent_records():
+    # A fractional C makes the powers non-integers, so the order of the
+    # summation shows in the bits.
+    consts = CalibrationConstants(c_fixed=44.37)
+    rng = np.random.default_rng(5)
+    records = [make_record(rssi=(int(a), int(b), int(c) if t % 4 else 0), agc=int(agc))
+               for t, (a, b, c, agc) in enumerate(rng.integers(20, 60, (40, 4)))]
+    stats = variation_stats(records, consts)
+    assert stats.port_power_mean_dbm.shape == (3,)
+    for p in range(3):
+        present = [float(r.rssi[p] - r.agc - consts.c_fixed) for r in records if r.rssi[p]]
+        assert stats.port_power_mean_dbm[p] == float(np.mean(present))
+    # Port 3 reads absent in 10 of the 40 records: its amplitude statistics
+    # are those of the other 30.
+    used = [r for r in records if r.rssi[2]]
+    assert len(used) == 30
+    np.testing.assert_allclose(stats.amp_mean_dbm[2],
+                               variation_stats(used, consts).amp_mean_dbm[2], rtol=1e-12)
+
+    never = variation_stats([replace(r, rssi=(*r.rssi[:2], 0)) for r in records], consts)
+    assert np.isnan(never.port_power_mean_dbm[2])
+    assert np.all(np.isnan(never.amp_std_db[2]))
+    assert np.array_equal(never.port_power_mean_dbm[:2], stats.port_power_mean_dbm[:2])
 
 
 def test_variation_stats_needs_two_records(consts):
