@@ -21,7 +21,6 @@ from .powercalib import (
     CalibratedFrame,
     calibrate,
     check_ratio_consistency,
-    csi_power_ratio_db,
     rssi_to_dbm,
     total_power,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "CalibratedFrame",
     "rssi_to_dbm",
     "total_power",
-    "csi_power_ratio_db",
     "check_ratio_consistency",
     "calibrate",
     "wrap_deg",

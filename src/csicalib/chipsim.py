@@ -296,14 +296,9 @@ def run_sweep(
         stats = variation_stats(records, consts)
         verdict = classify(stats, config.attenuation_db, thresholds, consts)
 
-        ratio_max: dict[str, float] = {}
-        for record in records:
-            for pr in check_ratio_consistency(record):
-                if math.isnan(pr.discrepancy_db):
-                    continue
-                ratio_max[pr.label] = max(
-                    ratio_max.get(pr.label, 0.0), abs(pr.discrepancy_db)
-                )
+        ratio_max = {pr.label: float(np.nanmax(np.abs(pr.discrepancy_db)))
+                     for pr in check_ratio_consistency(records)
+                     if not np.isnan(pr.discrepancy_db).all()}
 
         deviation = stats.port_power_mean_dbm - (
             config.tx_power_dbm - np.array(config.attenuation_db))

@@ -48,10 +48,6 @@ class EmptyInput(CsiCalibError):
     """An aggregate was requested over an empty collection."""
 
 
-class ZeroChannel(CsiCalibError):
-    """Power ratio requested against an all-zero channel."""
-
-
 class AllZeroCsi(CsiCalibError):
     """Every CSI component of the record is zero; calibration impossible."""
 

@@ -44,7 +44,8 @@ class CalibrationConstants:
     """Chip constants used to strip amplification from nominal readouts.
 
     c_fixed is the fixed amplifier/loss aggregate of the receive chain;
-    agc_min/agc_max are the adaptive gain clamp bounds of the chip.
+    agc_min/agc_max are the adaptive gain clamp bounds of the chip, within
+    the u8 range of the AGC readout.
     """
 
     c_fixed: float = 44.0
@@ -52,8 +53,9 @@ class CalibrationConstants:
     agc_max: int = 63
 
     def __post_init__(self):
-        if not self.agc_min < self.agc_max:
-            raise ConfigError("agc_min must be < agc_max")
+        if not 0 <= self.agc_min < self.agc_max <= 255:
+            raise ConfigError("need 0 <= agc_min < agc_max <= 255, "
+                              "the range of the AGC readout")
         # A present port's power, RSSI 1..255 minus AGC 0..255 minus c_fixed,
         # and the sum over three ports must be positive and finite in mW.
         try:

@@ -14,13 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AbsentPort,
-    AllZeroCsi,
-    EmptyInput,
-    ZeroChannel,
-)
-from .ingest import CalibrationConstants, RawCsiRecord
+from .errors import AbsentPort, AllZeroCsi, EmptyInput
+from .ingest import CalibrationConstants, RawCsiRecord, common_n_rx
 
 #: Canonical unordered port pairs, reported numerator-first (2/1, 3/2, 1/3).
 PORT_PAIRS_3 = ((1, 0), (2, 1), (0, 2))
@@ -70,63 +65,61 @@ def total_power(port_powers_dbm) -> float:
     return 10.0 * math.log10(sum(10.0 ** (p / 10.0) for p in powers))
 
 
-def csi_power_ratio_db(csi_i: np.ndarray, csi_j: np.ndarray) -> float:
-    """Power ratio of two per-subcarrier channel vectors, in dB.
-
-    Computed as the difference of log sums so that swapping the arguments
-    negates the result exactly.
-    """
-    si = float(np.sum(np.abs(np.asarray(csi_i)) ** 2))
-    sj = float(np.sum(np.abs(np.asarray(csi_j)) ** 2))
-    if sj == 0.0 or si == 0.0:
-        raise ZeroChannel("all-zero channel in power ratio")
-    return 10.0 * (math.log10(si) - math.log10(sj))
-
-
 @dataclass(frozen=True)
 class PairRatio:
-    """RSSI-implied vs CSI-implied power ratio for one port pair."""
+    """RSSI-implied vs CSI-implied power ratio of one port pair over a capture.
+
+    rssi_ratio_db, csi_ratio_db and discrepancy_db are (T,) arrays, one
+    entry per record of the capture.
+    """
 
     pair: tuple[int, int]
-    rssi_ratio_db: float
-    csi_ratio_db: float
-    discrepancy_db: float
+    rssi_ratio_db: np.ndarray
+    csi_ratio_db: np.ndarray
+    discrepancy_db: np.ndarray
 
     @property
     def label(self) -> str:
         return pair_label(self.pair)
 
 
-def check_ratio_consistency(record: RawCsiRecord) -> list[PairRatio]:
+def check_ratio_consistency(records: list[RawCsiRecord]) -> list[PairRatio]:
     """Report the RSSI vs CSI power-ratio agreement for each canonical pair.
 
-    Reporting only: a large discrepancy never raises.  A pair with an
-    absent port (RSSI 0) has no ratio: all three values are NaN.  A pair
-    with an all-zero CSI row keeps its RSSI ratio and gets NaN CSI ratio
-    and discrepancy.  A one-port record has no pair and gives [].
+    Reporting only: a large discrepancy never raises.  In a record where a
+    port of the pair reads absent (RSSI 0), the pair has no ratio: all three
+    values are NaN.  In a record where a port of the pair has an all-zero
+    CSI row, the pair keeps its RSSI ratio and gets NaN CSI ratio and
+    discrepancy.  An empty or one-port capture has no pair and gives [];
+    records of different n_rx raise MixedLayout.
     """
-    # log10 of each port's CSI power, None for an all-zero row.  Each row
-    # is C-contiguous, so its sum runs in the order, and gives the bits, of
-    # the sum csi_power_ratio_db takes over record.csi[:, p, :].
-    rows = np.ascontiguousarray(record.csi.transpose(1, 0, 2)).reshape(record.n_rx, -1)
-    power = np.abs(rows)
-    power *= power
-    log_power = [math.log10(s) if s != 0.0 else None for s in power.sum(axis=1).tolist()]
+    if not records:
+        return []
+    n_rx = common_n_rx(records)
+    # Each record's CSI power per port, summed over one C-contiguous row of
+    # its (K, n_tx) entries; records are stacked by n_tx, since the row
+    # length sets the order of the sum and so its bits.
+    n_tx = np.array([r.n_tx for r in records])
+    power = np.empty((len(records), n_rx))
+    for m in set(n_tx.tolist()):
+        idx = np.flatnonzero(n_tx == m)
+        sq = np.abs(np.array([records[t].csi for t in idx]))  # (T_m, K, n_rx, m)
+        sq *= sq
+        rows = np.ascontiguousarray(sq.transpose(0, 2, 1, 3)).reshape(idx.size, n_rx, -1)
+        power[idx] = rows.sum(axis=2)
+    # math.log10, whose bits do not depend on the platform's SIMD loops.
+    log_power = np.array([math.log10(s) if s else math.nan for s in power.ravel().tolist()])
+    log_power = log_power.reshape(power.shape)
+    rssi = np.array([r.rssi[:n_rx] for r in records], dtype=float)
+    rssi[rssi == 0] = math.nan  # an absent port: no ratio of either kind
+    log_power[np.isnan(rssi)] = math.nan
     results = []
-    for j, i in canonical_pairs(record.n_rx):
-        rssi_ratio = csi_ratio = math.nan
-        if record.rssi[j] != 0 and record.rssi[i] != 0:
-            rssi_ratio = float(record.rssi[j] - record.rssi[i])
-            if log_power[j] is not None and log_power[i] is not None:
-                csi_ratio = 10.0 * (log_power[j] - log_power[i])
-        results.append(
-            PairRatio(
-                pair=(j, i),
-                rssi_ratio_db=rssi_ratio,
-                csi_ratio_db=csi_ratio,
-                discrepancy_db=csi_ratio - rssi_ratio,
-            )
-        )
+    for j, i in canonical_pairs(n_rx):
+        rssi_ratio = rssi[:, j] - rssi[:, i]
+        csi_ratio = 10.0 * (log_power[:, j] - log_power[:, i])
+        results.append(PairRatio(pair=(j, i), rssi_ratio_db=rssi_ratio,
+                                 csi_ratio_db=csi_ratio,
+                                 discrepancy_db=csi_ratio - rssi_ratio))
     return results
 
 

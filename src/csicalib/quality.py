@@ -65,6 +65,8 @@ class VariationStats:
     values so saturation can be detected from readout pinning.
     port_power_mean_dbm is (n_rx,): each port's mean calibrated power over
     the records where it reads present, NaN if it never does.
+    zero_fraction is (n_rx,): each port's share of entries with no reading
+    (zero CSI or an absent port), averaged over the records.
     """
 
     amp_mean_dbm: np.ndarray = field(repr=False)
@@ -117,25 +119,15 @@ def variation_stats(
         amp_mean = np.nanmean(amp, axis=0).T  # (n_rx, 30)
         amp_std = np.nanstd(amp, axis=0).T
 
-    n_sc = amp.shape[1]
-    phase_mean = np.full((len(pairs), n_sc), np.nan)
-    phase_std = np.full((len(pairs), n_sc), np.nan)
-    for pi, pair in enumerate(pairs):
-        series = differential_series(records, pair)
-        for k in range(n_sc):
-            col = series.phase_deg[:, k]
-            col = col[~np.isnan(col)]
-            if col.size >= 2:
-                stats = circular_stats(col)
-                phase_mean[pi, k] = stats["mean_deg"]
-                phase_std[pi, k] = stats["std_deg"]
+    phase = [circular_stats(differential_series(records, pair).phase_deg) for pair in pairs]
 
-    # Per port, the mean over records of each record's fraction of zero
-    # entries.  Records may differ in n_tx, so their csi are joined along
-    # the tx axis and each record's columns summed back with reduceat.
+    # Per port, the mean over records of each record's fraction of entries
+    # with no reading: zero CSI or an absent port, the NaN of calibrate.
+    # Records may differ in n_tx, so their amplitudes are joined along the
+    # tx axis and each record's columns summed back with reduceat.
     n_tx = np.array([r.n_tx for r in records])
-    zeros = (np.concatenate([r.csi for r in records], axis=2) == 0).sum(axis=0)
-    per_record = np.add.reduceat(zeros, np.cumsum(n_tx) - n_tx, axis=1)
+    nan = np.isnan(np.concatenate([f.amplitude_dbm for f in frames], axis=2)).sum(axis=0)
+    per_record = np.add.reduceat(nan, np.cumsum(n_tx) - n_tx, axis=1)
     zero_fraction = (per_record / (N_SUBCARRIERS * n_tx)).mean(axis=1)  # (n_rx,)
 
     # One contiguous row per port, so that each mean sums in np.mean's
@@ -149,8 +141,8 @@ def variation_stats(
     return VariationStats(
         amp_mean_dbm=amp_mean,
         amp_std_db=amp_std,
-        phase_mean_deg=phase_mean,
-        phase_std_deg=phase_std,
+        phase_mean_deg=np.array([s["mean_deg"] for s in phase]).reshape(-1, N_SUBCARRIERS),
+        phase_std_deg=np.array([s["std_deg"] for s in phase]).reshape(-1, N_SUBCARRIERS),
         zero_fraction=zero_fraction,
         pairs=pairs,
         agc_readouts=tuple(int(r.agc) for r in records),

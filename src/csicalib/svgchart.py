@@ -26,10 +26,11 @@ def line_chart(
         xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
     x_min, x_max = min(xs_all), max(xs_all)
     y_min, y_max = min(ys_all), max(ys_all)
+    # A one-value axis spans 1, or one ulp where adding 1 rounds back.
     if x_max == x_min:
-        x_max = x_min + 1.0
+        x_max = x_min + max(1.0, math.ulp(x_min))
     if y_max == y_min:
-        y_max = y_min + 1.0
+        y_max = y_min + max(1.0, math.ulp(y_min))
 
     def sx(x: float) -> float:
         return margin + (x - x_min) / (x_max - x_min) * plot_w

@@ -181,6 +181,15 @@ def test_calibrate_and_analyze_mask_an_absent_port_alike(tmp_path):
         std = np.mean(np.std(amp, axis=0))
         assert stats_row[f"amp_std_port{p + 1}_db"] == f"{std:.4f}"
 
+    # Record 17's port 3 has non-zero CSI but no reading: it counts in the
+    # zero fraction, which grows by one record's share.
+    assert np.all(records[17].csi[:, 2, :] != 0)
+    zero_csi = [np.mean([(r.csi[:, p, :] == 0).mean() for r in records]) for p in range(3)]
+    stats = variation_stats(records, CalibrationConstants())
+    assert stats.zero_fraction[:2].tolist() == zero_csi[:2]
+    assert stats.zero_fraction[2] == pytest.approx(zero_csi[2] + 1 / 50, abs=1e-15)
+    assert stats_row["zero_fraction_port3"] == f"{stats.zero_fraction[2]:.4f}"
+
 
 def test_analyze_port_absent_in_every_record(tmp_path):
     # Port 3 reads RSSI 0 throughout but keeps its (non-zero) CSI.
@@ -208,6 +217,16 @@ def test_analyze_port_absent_in_every_record(tmp_path):
     verdict = json.loads((tmp_path / "ana" / "verdict.json").read_text())
     assert verdict["class"] == "PhaseUnmeasurable"
     assert {"check": "loss_spread", "threshold": 30.0, "observed": "inf"} in verdict["reasons"]
+
+    # Without loss estimates, the absent port still shows: it has no
+    # reading in any record, so its zero fraction is 1.
+    assert main(["analyze", "--in", str(trace), "--out", str(tmp_path / "no_tx")]) == 0
+    verdict = json.loads((tmp_path / "no_tx" / "verdict.json").read_text())
+    assert verdict == {"class": "PhaseUnmeasurable", "reasons": [
+        {"check": "zero_fraction", "threshold": 0.5, "observed": 1.0}]}
+    with open(tmp_path / "no_tx" / "stats.csv", newline="") as fh:
+        (stats_row,) = csv.DictReader(fh)
+    assert stats_row["zero_fraction_port3"] == "1.0000"
 
 
 def test_simulate_deterministic(tmp_path):
@@ -403,7 +422,6 @@ _EXIT_CODES = {
     "SchemaError": 2,
     "AbsentPort": 3,
     "EmptyInput": 3,
-    "ZeroChannel": 3,
     "AllZeroCsi": 3,
     "InsufficientData": 3,
     "MixedLayout": 3,
@@ -543,6 +561,17 @@ def test_only_analyze_reads_the_agc_clamps(tmp_path, capsys):
     assert verdict["class"] == "AgcSaturatedLow"
 
 
+@pytest.mark.parametrize("flags", [["--agc-min", "-1"], ["--agc-max", "300"],
+                                   ["--agc-min", "63", "--agc-max", "63"]])
+def test_analyze_agc_clamps_outside_the_readout_range_exit_4(tmp_path, capsys, flags):
+    trace = tmp_path / "trace.txt"
+    trace.write_text(_capture_text(n=5))
+    out = tmp_path / "ana"
+    assert main(["analyze", "--in", str(trace), "--out", str(out), *flags]) == 4
+    assert "need 0 <= agc_min < agc_max <= 255" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("env, flag, message", [
     ("abc", [], "CSI_CALIB_SEED must be an integer, got 'abc'"),
     ("-1", [], "seed must be >= 0"),
@@ -641,6 +670,10 @@ def _configs(draw):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(["simulate", "sweep", "control"]), _configs())
+# A one-point sweep at 2**53 dB: adding 1 dB to the chart's x range rounds back.
+@example("sweep", {"sim": {"attenuation_db": [0.0], "n_packets": 2, "tx_power_dbm": 0.0},
+                   "distortion": {"cfo_rate_deg": 0.0}, "sweep": [[2.0**53]],
+                   "control": {}, "thresholds": {}})
 def test_config_exit_code_property(tmp_path, command, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

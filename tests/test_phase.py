@@ -9,7 +9,7 @@ from csicalib import (
     differential_series,
     wrap_deg,
 )
-from csicalib.errors import AbsentPort, InsufficientData
+from csicalib.errors import AbsentPort
 from csicalib.phase import series_to_csv
 
 from conftest import make_record
@@ -30,7 +30,7 @@ def _two_port_record(row_i, row_j):
 
 def _record_phase(record, pair):
     series = differential_series([record], pair)
-    return series.phase_deg[0], series.unmeasurable_mask[0]
+    return series.phase_deg[0], np.isnan(series.phase_deg[0])
 
 
 def test_differential_quadrature():
@@ -83,10 +83,8 @@ def test_differential_absent_port_masks_the_row():
     records = [make_record(), make_record(rssi=(40, 0, 31)), make_record()]
     for pair in ((1, 0), (2, 1)):
         series = differential_series(records, pair)
-        assert series.unmeasurable_mask.tolist() == [[False] * 30, [True] * 30, [False] * 30]
-        assert np.isnan(series.phase_deg[1]).all()
-        assert not np.isnan(series.phase_deg[[0, 2]]).any()
-    assert not differential_series(records, (0, 2)).unmeasurable_mask.any()
+        assert np.isnan(series.phase_deg).tolist() == [[False] * 30, [True] * 30, [False] * 30]
+    assert not np.isnan(differential_series(records, (0, 2)).phase_deg).any()
 
 
 def test_differential_port_beyond_n_rx():
@@ -97,9 +95,8 @@ def test_differential_port_beyond_n_rx():
 
 def test_empty_differential_series_writes_header_only():
     series = differential_series([], (1, 0))
-    assert series.phase_deg.shape == series.unmeasurable_mask.shape == (0, 30)
+    assert series.phase_deg.shape == (0, 30)
     assert series.phase_deg.dtype == np.float64
-    assert series.unmeasurable_mask.dtype == np.bool_
     assert series_to_csv([series]) == "packet,subcarrier,pair,phase_deg,unmeasurable\r\n"
 
 
@@ -120,11 +117,22 @@ def test_circular_stats_population_std():
     assert stats["std_deg"] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-9)
 
 
-def test_circular_stats_insufficient():
-    with pytest.raises(InsufficientData):
-        circular_stats([5.0])
-    with pytest.raises(InsufficientData):
-        circular_stats([np.nan, np.nan, 3.0])
+def test_circular_stats_insufficient_is_nan():
+    for angles in ([5.0], [np.nan, np.nan, 3.0], []):
+        stats = circular_stats(angles)
+        assert np.isnan(stats["mean_deg"]) and np.isnan(stats["std_deg"])
+
+
+def test_circular_stats_reduces_each_column():
+    angles = np.array([[350.0, -1.0, 5.0, np.nan],
+                       [10.0, 0.0, np.nan, np.nan],
+                       [np.nan, 1.0, np.nan, 7.0]])
+    stats = circular_stats(angles)
+    assert stats["mean_deg"].shape == stats["std_deg"].shape == (4,)
+    assert stats["mean_deg"][:2] == pytest.approx([0.0, 0.0], abs=1e-9)
+    assert stats["std_deg"][:2] == pytest.approx([10.0, math.sqrt(2.0 / 3.0)], abs=1e-9)
+    assert np.isnan(stats["mean_deg"][2:]).all() and np.isnan(stats["std_deg"][2:]).all()
+    assert np.ndim(circular_stats([1.0, 2.0])["std_deg"]) == 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,11 +8,10 @@ from csicalib import (
     CalibrationConstants,
     calibrate,
     check_ratio_consistency,
-    csi_power_ratio_db,
     rssi_to_dbm,
     total_power,
 )
-from csicalib.errors import AbsentPort, AllZeroCsi, EmptyInput, ZeroChannel
+from csicalib.errors import AbsentPort, AllZeroCsi, EmptyInput, MixedLayout
 from csicalib.powercalib import canonical_pairs
 
 from conftest import make_record, random_record
@@ -64,41 +63,6 @@ def test_total_power_order_independent():
     assert total_power([-36, -33, -41]) == total_power([-41, -36, -33])
 
 
-def test_ratio_doubled_vector():
-    rng = np.random.default_rng(0)
-    v = rng.integers(-50, 51, 30) + 1j * rng.integers(-50, 51, 30)
-    assert csi_power_ratio_db(2 * v, v) == pytest.approx(20 * math.log10(2), abs=1e-6)
-    assert csi_power_ratio_db(v, v) == 0.0
-
-
-def test_ratio_matches_bruteforce():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        a = rng.integers(-128, 128, 30) + 1j * rng.integers(-128, 128, 30)
-        b = rng.integers(-100, 101, 30) + 1j * rng.integers(-100, 101, 30)
-        if not a.any() or not b.any():
-            continue
-        sa = sum((x.real**2 + x.imag**2) for x in a)
-        sb = sum((x.real**2 + x.imag**2) for x in b)
-        assert csi_power_ratio_db(a, b) == pytest.approx(10 * math.log10(sa / sb), abs=1e-9)
-
-
-def test_ratio_antisymmetric_exact():
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        a = rng.integers(-128, 128, 30) + 1j * rng.integers(-128, 128, 30)
-        b = rng.integers(-100, 101, 30) + 1j * rng.integers(-100, 101, 30)
-        if not a.any() or not b.any():
-            continue
-        assert csi_power_ratio_db(a, b) == -csi_power_ratio_db(b, a)
-
-
-def test_ratio_zero_channel():
-    v = np.ones(30, dtype=complex)
-    with pytest.raises(ZeroChannel):
-        csi_power_ratio_db(v, np.zeros(30, dtype=complex))
-
-
 def _record_with_csi_ratios(rssi, ratios_21_32_db):
     """Rows whose pairwise power ratios equal the given dB values exactly."""
     r21, r32 = ratios_21_32_db
@@ -112,36 +76,46 @@ def _record_with_csi_ratios(rssi, ratios_21_32_db):
 def test_ratio_consistency_measured_style():
     # RSSI ratios (3, -8, 5); CSI rows constructed to carry (3.19, -7.60, 4.41)
     record = _record_with_csi_ratios((36, 39, 31), (3.19, -7.60))
-    result = {pr.label: pr for pr in check_ratio_consistency(record)}
-    assert result["2/1"].rssi_ratio_db == 3
-    assert result["3/2"].rssi_ratio_db == -8
-    assert result["1/3"].rssi_ratio_db == 5
-    assert result["2/1"].discrepancy_db == pytest.approx(0.19, abs=1e-9)
-    assert result["3/2"].discrepancy_db == pytest.approx(0.40, abs=1e-9)
-    assert result["1/3"].discrepancy_db == pytest.approx(-0.59, abs=1e-9)
+    result = {pr.label: pr for pr in check_ratio_consistency([record])}
+    assert result["2/1"].rssi_ratio_db.tolist() == [3]
+    assert result["3/2"].rssi_ratio_db.tolist() == [-8]
+    assert result["1/3"].rssi_ratio_db.tolist() == [5]
+    assert result["2/1"].discrepancy_db == pytest.approx([0.19], abs=1e-9)
+    assert result["3/2"].discrepancy_db == pytest.approx([0.40], abs=1e-9)
+    assert result["1/3"].discrepancy_db == pytest.approx([-0.59], abs=1e-9)
 
 
 def test_ratio_consistency_identical_ports():
     record = _record_with_csi_ratios((40, 40, 40), (0.0, 0.0))
-    for pr in check_ratio_consistency(record):
-        assert pr.discrepancy_db == pytest.approx(0.0, abs=1e-12)
+    for pr in check_ratio_consistency([record]):
+        assert pr.discrepancy_db == pytest.approx([0.0], abs=1e-12)
 
 
 def test_ratio_consistency_of_one_port_is_empty():
     record = make_record(n_rx=1, rssi=(40, 0, 0), csi=np.ones((30, 1, 1)))
-    assert check_ratio_consistency(record) == []
+    assert check_ratio_consistency([record]) == []
+
+
+def test_ratio_consistency_of_empty_capture_is_empty():
+    assert check_ratio_consistency([]) == []
+
+
+def test_ratio_consistency_mixed_n_rx_raises():
+    one = make_record(n_rx=2, rssi=(40, 40, 0), csi=np.ones((30, 2, 1)))
+    with pytest.raises(MixedLayout, match="record 1 has n_rx=3"):
+        check_ratio_consistency([one, make_record()])
 
 
 def test_ratio_consistency_absent_port_pairs_are_nan():
     record = _record_with_csi_ratios((36, 0, 31), (3.19, -7.60))
-    result = {pr.label: pr for pr in check_ratio_consistency(record)}
+    result = {pr.label: pr for pr in check_ratio_consistency([record])}
     assert list(result) == ["2/1", "3/2", "1/3"]
     for label in ("2/1", "3/2"):
         pr = result[label]
-        assert math.isnan(pr.rssi_ratio_db) and math.isnan(pr.csi_ratio_db)
-        assert math.isnan(pr.discrepancy_db)
-    assert result["1/3"].rssi_ratio_db == 5
-    assert result["1/3"].discrepancy_db == pytest.approx(-0.59, abs=1e-9)
+        assert np.isnan(pr.rssi_ratio_db).all() and np.isnan(pr.csi_ratio_db).all()
+        assert np.isnan(pr.discrepancy_db).all()
+    assert result["1/3"].rssi_ratio_db.tolist() == [5]
+    assert result["1/3"].discrepancy_db == pytest.approx([-0.59], abs=1e-9)
 
 
 def test_calibrate_rho(consts):
@@ -225,33 +199,70 @@ def test_calibrate_absent_port_has_no_amplitude(consts):
     assert np.array_equal(frame.amplitude_dbm[:, [0, 2], :], alone.amplitude_dbm)
 
 
+def _ref_csi_power_ratio_db(csi_i, csi_j):
+    """Power ratio of two per-subcarrier channel rows as a difference of log
+    sums, so that swapping the arguments negates it exactly; None if either
+    row is all zero."""
+    si = float(np.sum(np.abs(np.asarray(csi_i)) ** 2))
+    sj = float(np.sum(np.abs(np.asarray(csi_j)) ** 2))
+    if sj == 0.0 or si == 0.0:
+        return None
+    return 10.0 * (math.log10(si) - math.log10(sj))
+
+
 def _ref_ratio_consistency(record):
-    # Two power sums per pair, as csi_power_ratio_db takes them.
+    # Two power sums per pair, one pair and one record at a time.
     out = []
     for j, i in canonical_pairs(record.n_rx):
         if record.rssi[i] == 0 or record.rssi[j] == 0:
             out.append(((j, i), math.nan, math.nan, math.nan))
             continue
         rssi_ratio = float(record.rssi[j] - record.rssi[i])
-        try:
-            csi_ratio = csi_power_ratio_db(record.csi[:, j, :], record.csi[:, i, :])
-        except ZeroChannel:
+        csi_ratio = _ref_csi_power_ratio_db(record.csi[:, j, :], record.csi[:, i, :])
+        if csi_ratio is None:
             csi_ratio = math.nan
         out.append(((j, i), rssi_ratio, csi_ratio, csi_ratio - rssi_ratio))
     return out
 
 
-def test_ratio_consistency_matches_per_pair_sums():
-    rng = np.random.default_rng(21)
-    for _ in range(300):
+def _records_for_ratio_check(rng, n, n_rx=None):
+    records = []
+    while len(records) < n:
         record = random_record(rng)
+        if n_rx is not None and record.n_rx != n_rx:
+            continue
         # Non-integer components, so the order of summation shows in the bits.
         record.csi *= rng.uniform(0.1, 3.0, record.csi.shape)
         if rng.random() < 0.3:
             record.csi[:, int(rng.integers(record.n_rx)), :] = 0
         if record.n_rx == 3 and rng.random() < 0.2:
             record.rssi = (record.rssi[0], 0, record.rssi[2])
-        got = [(pr.pair, pr.rssi_ratio_db, pr.csi_ratio_db, pr.discrepancy_db)
-               for pr in check_ratio_consistency(record)]
+        records.append(record)
+    return records
+
+
+def _per_record(ratios, t):
+    return [(pr.pair, float(pr.rssi_ratio_db[t]), float(pr.csi_ratio_db[t]),
+             float(pr.discrepancy_db[t])) for pr in ratios]
+
+
+def test_ratio_consistency_matches_per_pair_sums():
+    rng = np.random.default_rng(21)
+    for record in _records_for_ratio_check(rng, 300):
+        got = _per_record(check_ratio_consistency([record]), 0)
         # repr compares floats bit for bit and lets NaN equal NaN.
         assert repr(got) == repr(_ref_ratio_consistency(record))
+
+
+@pytest.mark.parametrize("n_rx", [2, 3])
+def test_ratio_consistency_of_a_capture_matches_each_record(n_rx):
+    # One capture of mixed n_tx: every record's entry equals the reference
+    # of that record alone, bit for bit.
+    rng = np.random.default_rng(22 + n_rx)
+    records = _records_for_ratio_check(rng, 120, n_rx)
+    assert len({r.n_tx for r in records}) == 3
+    ratios = check_ratio_consistency(records)
+    assert [pr.pair for pr in ratios] == list(canonical_pairs(n_rx))
+    assert all(pr.discrepancy_db.shape == (120,) for pr in ratios)
+    for t, record in enumerate(records):
+        assert repr(_per_record(ratios, t)) == repr(_ref_ratio_consistency(record))

@@ -16,6 +16,7 @@ import pytest
 from csicalib import (
     SimConfig,
     calibrate,
+    circular_stats,
     differential_series,
     simulate_capture,
     wrap_deg,
@@ -56,7 +57,7 @@ def _ref_series_to_csv(series_list):
         n_pkt, n_sc = series.phase_deg.shape
         for t in range(n_pkt):
             for k in range(n_sc):
-                masked = bool(series.unmeasurable_mask[t, k])
+                masked = bool(np.isnan(series.phase_deg[t, k]))
                 value = "" if masked else f"{series.phase_deg[t, k]:.6f}"
                 writer.writerow([t, k, series.label, value, int(masked)])
     return buf.getvalue()
@@ -85,6 +86,18 @@ def _ref_differential_series(records, pair):
         phases.append(phase)
         masks.append(mask)
     return np.array(phases), np.array(masks)
+
+
+def _ref_circular_stats(angles_deg):
+    # One column at a time, over its angles alone.
+    a = np.asarray(angles_deg, dtype=float).reshape(-1)
+    a = a[~np.isnan(a)]
+    if a.size < 2:
+        return np.nan, np.nan
+    z = np.exp(1j * np.deg2rad(a))
+    mean = float(wrap_deg(np.degrees(np.angle(z.mean()))))
+    dev = wrap_deg(a - mean)
+    return mean, float(np.sqrt(np.mean(dev**2)))
 
 
 def _capture(attenuation, n_packets=150, seed=5):
@@ -118,14 +131,40 @@ def test_capture_outputs_match_reference(captures, name, consts):
         s = differential_series(records, pair)
         ref_phase, ref_mask = _ref_differential_series(records, pair)
         _assert_bit_identical(s.phase_deg, ref_phase)
-        _assert_bit_identical(s.unmeasurable_mask, ref_mask)
+        _assert_bit_identical(np.isnan(s.phase_deg), ref_mask)
         series.append(s)
     assert series_to_csv(series) == _ref_series_to_csv(series)
 
     if name == "weak_port":
         assert any(np.isnan(f.amplitude_dbm).any() for f in frames)
-        assert any(s.unmeasurable_mask.any() for s in series)
-        assert not all(s.unmeasurable_mask.all() for s in series)
+        assert any(np.isnan(s.phase_deg).any() for s in series)
+        assert not all(np.isnan(s.phase_deg).all() for s in series)
+
+
+@pytest.mark.parametrize("name", ["balanced", "weak_port"])
+def test_circular_stats_match_per_column_reference(captures, name):
+    # NaN-free columns keep the per-column bits; a NaN enters the
+    # columnwise sums as 0, which may move a column's last bit.
+    records = list(captures[name])
+    # Port 1 absent in the first 149 records: pairs 2/1 and 1/3 keep one
+    # angle per subcarrier, too few for a statistic.
+    sparse = [replace(r, rssi=(0, *r.rssi[1:])) for r in records[:-1]] + records[-1:]
+    for capture in (records, sparse):
+        for pair in canonical_pairs(3):
+            phase = differential_series(capture, pair).phase_deg
+            stats = circular_stats(phase)
+            ref = np.array([_ref_circular_stats(phase[:, k]) for k in range(30)])
+            got = np.stack([stats["mean_deg"], stats["std_deg"]], axis=1)
+            assert got.shape == ref.shape == (30, 2)
+            short = (~np.isnan(phase)).sum(axis=0) < 2
+            assert np.array_equal(np.isnan(got), np.repeat(short[:, None], 2, axis=1))
+            full = ~np.isnan(phase).any(axis=0)
+            _assert_bit_identical(got[full], ref[full])
+            if name == "weak_port":
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9)
+    if name == "balanced":
+        phase = differential_series(records, (1, 0)).phase_deg
+        assert not np.isnan(phase).any()
 
 
 def test_mixed_layout_amplitudes_match_reference(consts):
@@ -148,7 +187,7 @@ def test_series_rows_match_single_record_series(captures, name):
         for t, record in enumerate(records):
             one = differential_series([record], pair)
             _assert_bit_identical(s.phase_deg[t], one.phase_deg[0])
-            _assert_bit_identical(s.unmeasurable_mask[t], one.unmeasurable_mask[0])
+            _assert_bit_identical(np.isnan(s.phase_deg[t]), np.isnan(one.phase_deg[0]))
 
 
 def test_absent_port_rows_match_reference(captures):
@@ -159,9 +198,9 @@ def test_absent_port_rows_match_reference(captures):
         s = differential_series(records, pair)
         ref_phase, ref_mask = _ref_differential_series(records, pair)
         _assert_bit_identical(s.phase_deg, ref_phase)
-        _assert_bit_identical(s.unmeasurable_mask, ref_mask)
-        assert s.unmeasurable_mask[7].all()
-        assert s.unmeasurable_mask[4].all() == (2 in pair)
+        _assert_bit_identical(np.isnan(s.phase_deg), ref_mask)
+        assert np.isnan(s.phase_deg[7]).all()
+        assert np.isnan(s.phase_deg[4]).all() == (2 in pair)
 
 
 def test_port_beyond_n_rx_errors_match_reference(captures):
