@@ -24,10 +24,12 @@ class ControlSettings:
 
     balance_target_db is the spread the controller balances to when it has
     to act, tighter than the thresholds' reliable spread to leave margin
-    for the ~2 dB RSSI estimation error.
+    for the ~2 dB RSSI estimation error.  max_iters bounds the steps of
+    closed_loop.
     """
 
     balance_target_db: float = 3.0
+    max_iters: int = 8
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,6 @@ def closed_loop(
     distortion: PhaseDistortion | None = None,
     settings: ControlSettings = ControlSettings(),
     thresholds: QualityThresholds = QualityThresholds(),
-    max_iters: int = 8,
 ) -> list[LoopStep]:
     """Iterate simulate -> calibrate -> estimate -> recommend -> apply.
 
@@ -116,14 +117,14 @@ def closed_loop(
     configured attenuations.  thresholds decide both the verdict of each
     step and the ceiling and spread that recommend balances to.  The loop
     stops on a Reliable verdict, an infeasible or empty action, or
-    max_iters.
+    settings.max_iters steps.
     """
-    if max_iters < 1:
+    if settings.max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
     consts = initial.calibration_constants()
     config = initial
     steps: list[LoopStep] = []
-    for iteration in range(max_iters):
+    for iteration in range(settings.max_iters):
         records = simulate_capture(config, distortion)
         stats = variation_stats(records, consts)
         est = estimate_losses(stats.port_power_mean_dbm, config.tx_power_dbm)

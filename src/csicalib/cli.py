@@ -119,9 +119,9 @@ def _typed(value, annotation, what: str):
     """value if it is a JSON value of the annotated type, else ConfigError.
 
     float takes a finite number, an int too but never a bool; int and bool
-    take only their own type; X | None also takes null; tuple[...] takes
-    a list, returned as a tuple; a dataclass takes an object.  Numbers are
-    returned as given.
+    take only their own type; X | None also takes null; tuple[X, ...]
+    takes a list, returned as a tuple; a dataclass takes an object.
+    Numbers are returned as given.
     """
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
     if origin in (typing.Union, types.UnionType):
@@ -132,12 +132,7 @@ def _typed(value, annotation, what: str):
     if origin is tuple:
         if type(value) is not list:
             raise ConfigError(f"{what} must be a list, got {json.dumps(value)}")
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            raise ConfigError(f"{what} needs {len(args)} entries, got {len(value)}")
-        return tuple(_typed(v, a, f"{what}[{i}]")
-                     for i, (v, a) in enumerate(zip(value, args)))
+        return tuple(_typed(v, args[0], f"{what}[{i}]") for i, v in enumerate(value))
     if is_dataclass(annotation):
         return _dataclass_from(annotation, value, what)
     if annotation is float:
@@ -333,18 +328,11 @@ def _cmd_control(args) -> int:
     obj = _load_json(args.config)
     seed = _resolve_seed(args)
     config = _sim_config(obj, seed)
-    control = obj.get("control", {})
-    if type(control) is not dict:
-        raise ConfigError(f"control must be a JSON object, got {json.dumps(control)}")
-    control = dict(control)
-    max_iters = _typed(control.pop("max_iters", 8), int, "control.max_iters")
-    settings = _dataclass_from(ControlSettings, control, "control")
     steps = closed_loop(
         config,
         _distortion(obj, len(config.attenuation_db)),
-        settings=settings,
+        settings=_dataclass_from(ControlSettings, obj.get("control", {}), "control"),
         thresholds=_thresholds(obj),
-        max_iters=max_iters,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -41,15 +41,7 @@ class SchemaError(CsiCalibError):
 # --- calibration / phase -----------------------------------------------------
 
 class AbsentPort(CsiCalibError):
-    """Operation requested on a port whose RSSI readout marks it absent."""
-
-
-class EmptyInput(CsiCalibError):
-    """An aggregate was requested over an empty collection."""
-
-
-class AllZeroCsi(CsiCalibError):
-    """Every CSI component of the record is zero; calibration impossible."""
+    """A port pair names a port beyond a record's n_rx (differential_series)."""
 
 
 class InsufficientData(CsiCalibError):

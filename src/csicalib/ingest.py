@@ -293,9 +293,11 @@ def parse_binary_trace(data: bytes) -> list[RawCsiRecord]:
 
     Raises TruncatedRecord when a frame claims more bytes than remain,
     LengthMismatch when the declared CSI length disagrees with the layout,
-    and BadPermutation for an invalid antenna selection byte.  All frames
-    are checked in one pass before any payload is decoded; the payloads of
-    each (n_rx, n_tx) layout and permutation are then decoded together.
+    BadPermutation for an invalid antenna selection byte, and
+    InvariantViolation for an n_rx or n_tx out of range or a non-zero RSSI
+    past n_rx (docs/FORMATS.md).  All frames are checked in one pass before
+    any payload is decoded; the payloads of each (n_rx, n_tx) layout and
+    permutation are then decoded together.
     """
     headers: list[tuple] = []
     # (n_rx, n_tx, antenna_perm[:n_rx]) -> (record indices, payload offsets)
@@ -328,10 +330,13 @@ def parse_binary_trace(data: bytes) -> list[RawCsiRecord]:
         perm = _VALID_PERMS.get((n_rx, antenna_sel))
         if perm is None:
             raise BadPermutation(f"antenna_sel 0x{antenna_sel:02x} for n_rx={n_rx}")
+        rssi = (rssi1, rssi2, rssi3)
+        if any(rssi[n_rx:]):
+            raise InvariantViolation("rssi of absent ports must be exactly 0")
         index, offsets = groups.setdefault((n_rx, n_tx, perm[:n_rx]), ([], []))
         index.append(len(headers))
         offsets.append(body + _HEADER_BYTES)
-        headers.append((timestamp_low, bfee_count, n_rx, n_tx, (rssi1, rssi2, rssi3),
+        headers.append((timestamp_low, bfee_count, n_rx, n_tx, rssi,
                         noise, agc, perm, rate_flags))
 
     view = np.frombuffer(data, dtype=np.uint8)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AbsentPort, AllZeroCsi, EmptyInput
 from .ingest import CalibrationConstants, RawCsiRecord, common_n_rx
 
 #: Canonical unordered port pairs, reported numerator-first (2/1, 3/2, 1/3).
@@ -41,7 +40,9 @@ class CalibratedFrame:
     (RSSI 0).  amplitude_dbm has the same shape as the record's CSI matrix;
     entries whose CSI magnitude is exactly zero, and every entry of an
     absent port, hold NaN, the "unmeasurable" sentinel (never -inf), so
-    downstream statistics can skip rather than propagate them.
+    downstream statistics can skip rather than propagate them.  A record
+    with no reading has NaN rho, and NaN total_power_dbm if every port
+    reads absent.
     """
 
     port_power_dbm: tuple[float, ...]
@@ -51,18 +52,20 @@ class CalibratedFrame:
 
 
 def rssi_to_dbm(rssi: int, agc: float, consts: CalibrationConstants) -> float:
-    """Absolute port power in dBm from a nominal RSSI readout."""
-    if rssi == 0:
-        raise AbsentPort("rssi readout of 0 marks an absent port")
-    return float(rssi - agc - consts.c_fixed)
+    """Absolute port power in dBm from a nominal RSSI readout.
+
+    A readout of 0 marks an absent port, which has no power: NaN.
+    """
+    return float(rssi - agc - consts.c_fixed) if rssi else math.nan
 
 
 def total_power(port_powers_dbm) -> float:
-    """Combine per-port powers (dBm) into total received power (dBm)."""
-    powers = list(port_powers_dbm)
-    if not powers:
-        raise EmptyInput("no port powers given")
-    return 10.0 * math.log10(sum(10.0 ** (p / 10.0) for p in powers))
+    """Combine per-port powers (dBm) into total received power (dBm).
+
+    NaN powers (absent ports) are skipped; with none left the total is NaN.
+    """
+    linear = [10.0 ** (p / 10.0) for p in port_powers_dbm if not math.isnan(p)]
+    return 10.0 * math.log10(sum(linear)) if linear else math.nan
 
 
 @dataclass(frozen=True)
@@ -124,22 +127,22 @@ def check_ratio_consistency(records: list[RawCsiRecord]) -> list[PairRatio]:
 
 
 def calibrate(record: RawCsiRecord, consts: CalibrationConstants) -> CalibratedFrame:
-    """Restore absolute per-port power and per-subcarrier amplitude in dBm."""
-    present = record.present_ports()
-    if not present:
-        raise AbsentPort("no present ports in record")
+    """Restore absolute per-port power and per-subcarrier amplitude in dBm.
 
-    port_power = tuple([rssi_to_dbm(rssi, record.agc, consts) if rssi else math.nan
+    A record with no reading, every port absent or zero CSI on every
+    present port, calibrates to NaN as an absent port and a zero CSI entry
+    do (see CalibratedFrame); it never raises.
+    """
+    present = record.present_ports()
+    port_power = tuple([rssi_to_dbm(rssi, record.agc, consts)
                         for rssi in record.rssi[: record.n_rx]])
-    p_total = total_power([port_power[p] for p in present])
+    p_total = total_power(port_power)
 
     sq = np.abs(record.csi) ** 2
     if len(present) < record.n_rx:  # an absent port has no amplitude
         sq[:, np.isnan(port_power), :] = 0.0
     denom = float(sq[:, present, :].sum())
-    if denom == 0.0:
-        raise AllZeroCsi("CSI is zero on every present port")
-    rho = 10.0 ** (p_total / 10.0) / denom
+    rho = 10.0 ** (p_total / 10.0) / denom if denom else math.nan
 
     with np.errstate(divide="ignore"):
         amplitude = 10.0 * np.log10(rho * sq)
@@ -159,8 +162,9 @@ def frames_to_csv(frames: list[CalibratedFrame]) -> str:
     """CSV with columns: packet index, port, subcarrier, amplitude_dbm.
 
     The header block lists the first frame's power of each present port and
-    its total power as comment lines.  Rows end in CRLF, as the stdlib csv
-    writer's; a NaN amplitude is written as an empty value (docs/FORMATS.md).
+    its total power as comment lines; a first frame whose every port reads
+    absent has none.  Rows end in CRLF, as the stdlib csv writer's; a NaN
+    amplitude is written as an empty value (docs/FORMATS.md).
     """
     buf = io.StringIO()
     if frames:
@@ -168,7 +172,8 @@ def frames_to_csv(frames: list[CalibratedFrame]) -> str:
         for port, power in enumerate(first.port_power_dbm):
             if not math.isnan(power):
                 buf.write(f"# port_power_dbm,port={port + 1},{power:.4f}\n")
-        buf.write(f"# total_power_dbm,{first.total_power_dbm:.4f}\n")
+        if not math.isnan(first.total_power_dbm):
+            buf.write(f"# total_power_dbm,{first.total_power_dbm:.4f}\n")
     write = buf.write
     write("packet,port,subcarrier,tx,amplitude_dbm\r\n")
     shape = None

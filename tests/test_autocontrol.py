@@ -15,7 +15,7 @@ from csicalib import (
     recommend,
     trajectory_to_jsonl,
 )
-from csicalib.errors import InsufficientPorts
+from csicalib.errors import ConfigError, InsufficientPorts
 
 from conftest import REALISTIC_DISTORTION
 
@@ -164,6 +164,16 @@ def test_closed_loop_stops_when_infeasible(consts):
     assert len(steps) == 1
     assert not steps[-1].action.feasible
     assert steps[-1].config.attenuation_db == initial.attenuation_db
+
+
+def test_closed_loop_stops_after_max_iters():
+    # From a 27 dB spread the loop needs two steps; one is all it may take.
+    initial = SimConfig(attenuation_db=(23.0, 50.0, 50.0), n_packets=40, seed=0)
+    assert len(closed_loop(initial, REALISTIC_DISTORTION)) == 2
+    (step,) = closed_loop(initial, REALISTIC_DISTORTION, ControlSettings(max_iters=1))
+    assert step.verdict.cls != "Reliable" and not step.action.is_zero()
+    with pytest.raises(ConfigError, match="max_iters must be >= 1"):
+        closed_loop(initial, REALISTIC_DISTORTION, ControlSettings(max_iters=0))
 
 
 def test_trajectory_jsonl_roundtrips(consts):

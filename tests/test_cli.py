@@ -191,6 +191,40 @@ def test_calibrate_and_analyze_mask_an_absent_port_alike(tmp_path):
     assert stats_row["zero_fraction_port3"] == f"{stats.zero_fraction[2]:.4f}"
 
 
+@pytest.mark.parametrize("no_reading", ["zero_csi", "absent_ports"])
+def test_calibrate_and_analyze_pass_a_record_with_no_reading(tmp_path, no_reading):
+    # Record 17 reads nothing: zero CSI on every port, or RSSI 0 on every
+    # port.  It calibrates to NaN and neither command stops on it.
+    config = SimConfig(attenuation_db=(33.0, 30.0, 36.0), n_packets=50, seed=0)
+    records = simulate_capture(config, REALISTIC_DISTORTION)
+    assert all(np.all(r.csi != 0) for r in records)
+    if no_reading == "zero_csi":
+        records[17] = replace(records[17], csi=np.zeros_like(records[17].csi))
+    else:
+        records[17] = replace(records[17], rssi=(0, 0, 0))
+    trace = tmp_path / "trace.txt"
+    trace.write_text(write_text_trace(records))
+    for command in ("calibrate", "analyze"):
+        assert main([command, "--in", str(trace), "--out", str(tmp_path / command)]) == 0
+
+    with open(tmp_path / "calibrate" / "amplitudes.csv", newline="") as fh:
+        amp_rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+    assert len(amp_rows) == 1 + 50 * 90
+    assert all((row[-1] == "") == (row[0] == "17") for row in amp_rows[1:])
+    with open(tmp_path / "calibrate" / "phases.csv", newline="") as fh:
+        masked = {(r["packet"], r["pair"]) for r in csv.DictReader(fh)
+                  if r["unmeasurable"] == "1"}
+    assert masked == {("17", "2/1"), ("17", "3/2"), ("17", "1/3")}
+
+    # The record counts toward every port's zero fraction, one record's share.
+    with open(tmp_path / "analyze" / "stats.csv", newline="") as fh:
+        (stats_row,) = csv.DictReader(fh)
+    for p in (1, 2, 3):
+        assert stats_row[f"zero_fraction_port{p}"] == "0.0200"
+        assert stats_row[f"amp_std_port{p}_db"] != ""
+    assert json.loads((tmp_path / "analyze" / "verdict.json").read_text())["class"] == "Reliable"
+
+
 def test_analyze_port_absent_in_every_record(tmp_path):
     # Port 3 reads RSSI 0 throughout but keeps its (non-zero) CSI.
     config = SimConfig(attenuation_db=(33.0, 30.0, 36.0), n_packets=30, seed=2)
@@ -421,8 +455,6 @@ _EXIT_CODES = {
     "InvariantViolation": 2,
     "SchemaError": 2,
     "AbsentPort": 3,
-    "EmptyInput": 3,
-    "AllZeroCsi": 3,
     "InsufficientData": 3,
     "MixedLayout": 3,
     "ConfigError": 4,
@@ -583,6 +615,34 @@ def test_seed_out_of_range_is_config_error(tmp_path, capsys, monkeypatch, env, f
     cfg = _write_config(tmp_path)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")] + flag) == 4
     assert message in capsys.readouterr().err
+
+
+def test_sweep_past_the_readout_range_is_unmeasurable(tmp_path):
+    # With a -120 dBm noise floor, 120 dB of loss still leaves CSI but the
+    # RSSI readout clips to 0 on every port: no record has a reading.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"sim": {"n_packets": 30, "noise_floor_dbm": -120},
+                               "sweep": [[30, 30, 30], [60, 60, 60], [120, 120, 120]]}))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "report.csv").read_text().splitlines()
+    assert len(rows) == 4
+    assert rows[3] == "2,120,120,120,,,,,,,,,,,PhaseUnmeasurable"
+    assert all(svg.read_text().rstrip().endswith("</svg>") for svg in out.glob("*.svg"))
+
+
+def test_control_past_the_readout_range_stops_infeasible(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"sim": {"attenuation_db": [120, 120, 120], "n_packets": 30,
+                                       "noise_floor_dbm": -120}}))
+    out = tmp_path / "ctl"
+    assert main(["control", "--config", str(cfg), "--out", str(out)]) == 0
+    (line,) = (out / "trajectory.jsonl").read_text().splitlines()
+    step = json.loads(line)
+    assert step["estimated_loss_db"] == [None, None, None]
+    assert step["verdict"] == "PhaseUnmeasurable"
+    assert step["action"] == {"added_attenuation_db": [0.0, 0.0, 0.0], "feasible": False,
+                              "predicted_class": "PhaseUnmeasurable"}
 
 
 def test_config_takes_ints_for_floats_and_null_noise_floor(tmp_path):

@@ -74,6 +74,8 @@ def _ref_parse_record_body(body):
     perm = _ref_decode_perm(antenna_sel)
     if sorted(perm[:n_rx]) != list(range(n_rx)):
         raise BadPermutation(f"antenna_sel 0x{antenna_sel:02x} for n_rx={n_rx}")
+    if any(body[10 + n_rx : 13]):
+        raise InvariantViolation("rssi of absent ports must be exactly 0")
 
     payload = body[20 : 20 + declared_len]
     csi = np.zeros((N_SUBCARRIERS, n_rx, n_tx), dtype=np.complex128)
@@ -310,7 +312,7 @@ def test_every_truncation_matches_reference(small_trace):
 
 @pytest.mark.parametrize("field,offset", [
     ("frame length", 1), ("n_rx", 3 + 8), ("n_tx", 3 + 9),
-    ("declared length", 3 + 16), ("antenna_sel", 3 + 15),
+    ("declared length", 3 + 16), ("antenna_sel", 3 + 15), ("rssi 3", 3 + 12),
 ])
 def test_corrupted_header_byte_matches_reference(small_trace, field, offset):
     kinds = set()
@@ -327,6 +329,8 @@ def test_corrupted_header_byte_matches_reference(small_trace, field, offset):
 def test_check_order_on_a_record_with_every_fault():
     record = make_record(n_rx=2, rssi=(40, 40, 0), antenna_perm=(1, 0, 0))
     data = bytearray(encode_binary_trace([record]))
+    data[3 + 12] = 7          # rssi of port 3, which the record does not have
+    assert _assert_same_outcome(bytes(data)) is InvariantViolation
     data[3 + 15] = 0x00       # antenna_sel: perm (0, 0) for n_rx=2
     assert _assert_same_outcome(bytes(data)) is BadPermutation
     short = bytes(data[:-1])  # payload cut short, frame length still valid

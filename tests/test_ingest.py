@@ -11,6 +11,7 @@ from csicalib import (
     parse_text_trace,
     write_text_trace,
 )
+from csicalib.cli import main
 from csicalib.errors import (
     BadPermutation,
     InvariantViolation,
@@ -94,6 +95,24 @@ def test_bad_permutation():
     data[3 + 15] = 0x00  # all streams claim port 0
     with pytest.raises(BadPermutation):
         parse_binary_trace(bytes(data))
+
+
+def test_rssi_past_n_rx_is_rejected(tmp_path, capsys):
+    # A one-port record whose second RSSI byte reads 7: the text parser
+    # and validate() reject it, and so does the binary parser.
+    record = make_record(csi=np.ones((30, 1, 1)), n_rx=1, rssi=(30, 0, 0),
+                         antenna_perm=(0, 0, 0))
+    data = bytearray(encode_binary_trace([record]))
+    assert parse_binary_trace(bytes(data)) == [record]
+    data[3 + 11] = 7
+    with pytest.raises(InvariantViolation, match="rssi of absent ports must be exactly 0"):
+        parse_binary_trace(bytes(data))
+    src = tmp_path / "trace.bin"
+    src.write_bytes(bytes(data))
+    assert main(["parse", "--in", str(src), "--format", "binary",
+                 "--out", str(tmp_path / "out.txt")]) == 2
+    assert capsys.readouterr().err == "error: rssi of absent ports must be exactly 0\n"
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_sign_extension_range_on_arbitrary_payload():

@@ -11,8 +11,8 @@ from csicalib import (
     rssi_to_dbm,
     total_power,
 )
-from csicalib.errors import AbsentPort, AllZeroCsi, EmptyInput, MixedLayout
-from csicalib.powercalib import canonical_pairs
+from csicalib.errors import MixedLayout
+from csicalib.powercalib import canonical_pairs, frames_to_csv
 
 from conftest import make_record, random_record
 
@@ -29,8 +29,9 @@ def test_rssi_offsets_cancel(consts):
 
 
 def test_rssi_absent_port(consts):
-    with pytest.raises(AbsentPort):
-        rssi_to_dbm(0, 28, consts)
+    # A readout of 0 marks an absent port: no power, at any AGC.
+    assert math.isnan(rssi_to_dbm(0, 28, consts))
+    assert math.isnan(rssi_to_dbm(0, 0, consts))
 
 
 @settings(max_examples=50, deadline=None)
@@ -55,8 +56,14 @@ def test_total_power_mixed_ports():
 
 def test_total_power_single_and_empty():
     assert total_power([-50]) == pytest.approx(-50, abs=1e-12)
-    with pytest.raises(EmptyInput):
-        total_power([])
+    assert math.isnan(total_power([]))
+
+
+def test_total_power_skips_nan():
+    # An absent port (NaN) adds nothing: the bits of the present ports' sum.
+    assert total_power([-36, math.nan, -41]) == total_power([-36, -41])
+    assert total_power([math.nan, -50, math.nan]) == total_power([-50])
+    assert math.isnan(total_power([math.nan, math.nan, math.nan]))
 
 
 def test_total_power_order_independent():
@@ -171,15 +178,45 @@ def test_calibrate_total_power_bounds(consts):
 
 
 def test_calibrate_all_zero_csi(consts):
+    # RSSI reads every port, so the powers stand, but no CSI entry can
+    # carry them: no scale and no amplitude.
     record = make_record(csi=np.zeros((30, 3, 1), dtype=complex))
-    with pytest.raises(AllZeroCsi):
-        calibrate(record, consts)
+    frame = calibrate(record, consts)
+    assert frame.port_power_dbm == tuple(rssi_to_dbm(r, 28, consts) for r in (36, 39, 31))
+    assert frame.total_power_dbm == total_power(frame.port_power_dbm)
+    assert math.isfinite(frame.total_power_dbm)
+    assert math.isnan(frame.rho)
+    assert frame.amplitude_dbm.shape == (30, 3, 1)
+    assert np.isnan(frame.amplitude_dbm).all()
 
 
 def test_calibrate_no_present_ports(consts):
-    record = make_record(rssi=(0, 0, 0))
-    with pytest.raises(AbsentPort):
-        calibrate(record, consts)
+    rng = np.random.default_rng(4)
+    csi = rng.uniform(1.0, 20.0, (30, 3, 2)) + 1j * rng.uniform(1.0, 20.0, (30, 3, 2))
+    frame = calibrate(make_record(csi=csi, n_tx=2, rssi=(0, 0, 0)), consts)
+    assert len(frame.port_power_dbm) == 3
+    assert all(math.isnan(p) for p in frame.port_power_dbm)
+    assert math.isnan(frame.total_power_dbm)
+    assert math.isnan(frame.rho)
+    assert frame.amplitude_dbm.shape == (30, 3, 2)
+    assert np.isnan(frame.amplitude_dbm).all()
+
+
+def test_frames_to_csv_header_of_a_record_with_no_reading(consts):
+    absent = calibrate(make_record(rssi=(0, 0, 0)), consts)
+    present = calibrate(make_record(), consts)
+    text = frames_to_csv([absent, present])
+    assert text.startswith("packet,port,subcarrier,tx,amplitude_dbm\r\n")
+    assert "#" not in text
+    # Its rows are there, every amplitude empty.
+    rows = text.split("\r\n")[1:91]
+    assert rows[0] == "0,1,0,0," and all(row.endswith(",") for row in rows)
+    assert rows[-1] == "0,3,29,0,"
+    # Zero CSI keeps the powers, whose lines follow the port lines' rule.
+    zero = calibrate(make_record(csi=np.zeros((30, 3, 1), dtype=complex)), consts)
+    header = frames_to_csv([zero]).split("packet,")[0].splitlines()
+    assert [line.split(",")[0] for line in header] == ["# port_power_dbm"] * 3 + [
+        "# total_power_dbm"]
 
 
 def test_calibrate_absent_port_has_no_amplitude(consts):

@@ -35,7 +35,8 @@ def _ref_frames_to_csv(frames):
         for port, power in enumerate(first.port_power_dbm):
             if not np.isnan(power):
                 buf.write(f"# port_power_dbm,port={port + 1},{power:.4f}\n")
-        buf.write(f"# total_power_dbm,{first.total_power_dbm:.4f}\n")
+        if not np.isnan(first.total_power_dbm):
+            buf.write(f"# total_power_dbm,{first.total_power_dbm:.4f}\n")
     writer = csv.writer(buf)
     writer.writerow(["packet", "port", "subcarrier", "tx", "amplitude_dbm"])
     for t, frame in enumerate(frames):
