@@ -144,7 +144,8 @@ def _unit_channel(config: SimConfig) -> np.ndarray:
     k = np.arange(N_SUBCARRIERS)
     h = np.zeros(N_SUBCARRIERS, dtype=np.complex128)
     for tap in config.multipath:
-        h += tap.gain * np.exp(1j * np.deg2rad(tap.phase_deg + tap.delay_slope_deg * k))
+        h += float(tap.gain) * np.exp(
+            1j * np.deg2rad(float(tap.phase_deg) + float(tap.delay_slope_deg) * k))
     norm = math.sqrt(float(np.sum(np.abs(h) ** 2)))
     if norm == 0.0:
         raise ConfigError("multipath taps cancel to a zero channel")
@@ -198,13 +199,13 @@ def _simulate(config: SimConfig, distortion: PhaseDistortion) -> list[RawCsiReco
     noise *= noise_scale
 
     t = np.arange(n_packets, dtype=np.float64)[:, None]
-    common = distortion.sfo_slope_deg * k * t  # (T, K)
+    common = float(distortion.sfo_slope_deg) * k * t  # (T, K)
     common += distortion.cfo_rate_deg * t
     # Generator.normal(0, s) is 0 + s * z for one standard normal z.
     common += 0.0 + distortion.pdd_jitter_deg * draws[:, :1] if n_jitter else 0.0
     del draws
     np.deg2rad(common, out=common)
-    delta = np.deg2rad(np.asarray(distortion.delta_deg[:n_rx]))
+    delta = np.deg2rad(np.asarray(distortion.delta_deg[:n_rx], dtype=float))
     y = np.multiply(common[:, None, :] + delta[:, None], 1j)
     np.exp(y, out=y)
     y *= x

@@ -15,7 +15,6 @@ import sys
 import types
 import typing
 from dataclasses import fields, is_dataclass, replace
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
@@ -184,16 +183,10 @@ def _resolve_seed(args) -> int | None:
         raise ConfigError(f"CSI_CALIB_SEED must be an integer, got {env!r}") from None
 
 
-def _write_manifest(out_dir: Path, args, seed=None, inputs=()) -> None:
-    manifest = {
-        "command": args.command,
-        "inputs": [str(p) for p in inputs],
-        "config": getattr(args, "config", None),
-        "seed": seed,
-        "out_dir": str(out_dir),
-        "tool_version": __version__,
-        "created": datetime.now(timezone.utc).isoformat(),
-    }
+def _write_manifest(args, seed: int | None) -> None:
+    """manifest.json in the out dir: every argument but --out, the seed used and the version."""
+    manifest = {**vars(args), "seed": seed, "tool_version": __version__}
+    out_dir = Path(manifest.pop("out"))
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
@@ -208,18 +201,18 @@ def _read_trace(path: str):
 
 
 # --- commands ----------------------------------------------------------------
+# Each returns the seed its run used, None if it draws no random numbers.
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(args) -> None:
     in_path, out_path = Path(args.in_path), Path(args.out)
     if args.format == "binary":
         records = parse_binary_trace(in_path.read_bytes())
         out_path.write_text(write_text_trace(records))
     else:
         out_path.write_bytes(encode_binary_trace(_read_trace(args.in_path)))
-    return EXIT_OK
 
 
-def _cmd_calibrate(args) -> int:
+def _cmd_calibrate(args) -> None:
     records = _read_trace(args.in_path)
     n_rx = common_n_rx(records) if records else 0
     consts = CalibrationConstants(c_fixed=args.consts_c)
@@ -230,11 +223,9 @@ def _cmd_calibrate(args) -> int:
     if n_rx >= 2:
         series = [differential_series(records, pair) for pair in canonical_pairs(n_rx)]
         (out_dir / "phases.csv").write_text(series_to_csv(series))
-    _write_manifest(out_dir, args, inputs=[args.in_path])
-    return EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> None:
     records = _read_trace(args.in_path)
     consts = CalibrationConstants(args.consts_c, args.agc_min, args.agc_max)
     stats = variation_stats(records, consts)
@@ -249,8 +240,6 @@ def _cmd_analyze(args) -> int:
     if stats.n_records < 5:
         print("warning: fewer than 5 records; variance estimates are wide",
               file=sys.stderr)
-    _write_manifest(out_dir, args, inputs=[args.in_path])
-    return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
@@ -264,8 +253,7 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "trace.txt").write_text(write_text_trace(records))
-    _write_manifest(out_dir, args, seed=config.seed)
-    return EXIT_OK
+    return config.seed
 
 
 def _cmd_sweep(args) -> int:
@@ -320,8 +308,7 @@ def _cmd_sweep(args) -> int:
         series = [(label, xs, [float(v) for v in next(columns)]) for label in labels]
         (out_dir / name).write_text(line_chart(
             series, title=title, x_label="max attenuation (dB)", y_label=y_label))
-    _write_manifest(out_dir, args, seed=base.seed)
-    return EXIT_OK
+    return base.seed
 
 
 def _cmd_control(args) -> int:
@@ -337,8 +324,7 @@ def _cmd_control(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "trajectory.jsonl").write_text(trajectory_to_jsonl(steps))
-    _write_manifest(out_dir, args, seed=config.seed)
-    return EXIT_OK
+    return config.seed
 
 
 _COMMANDS = {
@@ -354,13 +340,16 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        seed = _COMMANDS[args.command](args)
+        if args.command != "parse":
+            _write_manifest(args, seed)
     except CsiCalibError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -22,16 +22,7 @@ from .ingest import N_SUBCARRIERS, CalibrationConstants, RawCsiRecord, common_n_
 from .phase import circular_stats, differential_series
 from .powercalib import calibrate, canonical_pairs, pair_label
 
-VERDICT_CLASSES = (
-    "Reliable",
-    "Degraded",
-    "AgcSaturatedLow",
-    "AgcSaturatedHigh",
-    "Unstable",
-    "PhaseUnmeasurable",
-)
-
-#: Precedence, most severe first.
+#: The verdict classes, most severe first.
 _PRECEDENCE = (
     "PhaseUnmeasurable",
     "Unstable",

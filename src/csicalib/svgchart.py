@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_WIDTH, _HEIGHT = 640, 420
 
 
 def line_chart(
@@ -12,11 +13,9 @@ def line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 640,
-    height: int = 420,
 ) -> str:
     """Render (label, xs, ys) series as a single SVG document string."""
-    margin = 60
+    width, height, margin = _WIDTH, _HEIGHT, 60
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin
 

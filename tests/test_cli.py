@@ -95,7 +95,7 @@ def test_calibrate_outputs(tmp_path):
     assert (out / "phases.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "calibrate"
-    assert manifest["inputs"] == [str(trace)]
+    assert manifest["in_path"] == str(trace)
 
 
 def test_analyze_verdict(tmp_path):
@@ -107,6 +107,44 @@ def test_analyze_verdict(tmp_path):
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["class"] == "Reliable"
     assert (out / "stats.csv").exists()
+
+
+def test_analyze_manifest_records_every_argument_but_out(tmp_path):
+    trace = tmp_path / "trace.txt"
+    trace.write_text(_capture_text())
+    manifests = {}
+    for tx_power in ("-3", "40"):
+        out = tmp_path / f"ana{tx_power}"
+        assert main(["analyze", "--in", str(trace), "--out", str(out),
+                     "--tx-power", tx_power]) == 0
+        manifests[tx_power] = json.loads((out / "manifest.json").read_text())
+    expected = {"command": "analyze", "in_path": str(trace), "tx_power": -3.0,
+                "consts_c": CalibrationConstants.c_fixed,
+                "agc_min": CalibrationConstants.agc_min,
+                "agc_max": CalibrationConstants.agc_max,
+                "seed": None, "tool_version": cli.__version__}
+    assert manifests["-3"] == expected
+    assert manifests["40"] == {**expected, "tx_power": 40.0}
+
+
+def test_same_run_writes_the_same_manifest(tmp_path):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "sim"
+    argv = ["simulate", "--config", cfg, "--out", str(out)]
+    assert main(argv) == 0
+    first = (out / "manifest.json").read_bytes()
+    assert main(argv) == 0
+    assert (out / "manifest.json").read_bytes() == first
+
+
+def test_analyze_warns_on_fewer_than_five_records(tmp_path, capsys):
+    trace = tmp_path / "three.txt"
+    trace.write_text(_capture_text(n=3))
+    out = tmp_path / "ana"
+    assert main(["analyze", "--in", str(trace), "--out", str(out)]) == 0
+    assert "warning: fewer than 5 records" in capsys.readouterr().err
+    for name in ("stats.csv", "verdict.json", "manifest.json"):
+        assert (out / name).exists()
 
 
 def test_analyze_single_record_exit_code(tmp_path):
@@ -274,7 +312,8 @@ def test_simulate_deterministic(tmp_path):
 
 
 def test_simulate_seed_precedence(tmp_path, monkeypatch):
-    cfg = _write_config(tmp_path)
+    cfg = _write_config(tmp_path, {"sim": {"attenuation_db": [33, 30, 36],
+                                           "n_packets": 20, "seed": 11}})
     base = tmp_path / "base"
     flagged = tmp_path / "flag"
     enved = tmp_path / "env"
@@ -285,7 +324,9 @@ def test_simulate_seed_precedence(tmp_path, monkeypatch):
                  "--out", str(flagged)]) == 0
     assert (enved / "trace.txt").read_text() == (flagged / "trace.txt").read_text()
     assert (base / "trace.txt").read_text() != (enved / "trace.txt").read_text()
-    assert json.loads((enved / "manifest.json").read_text())["seed"] == 7
+    seeds = [json.loads((out / "manifest.json").read_text())["seed"]
+             for out in (base, enved, flagged)]
+    assert seeds == [11, 7, 7]
 
 
 def test_simulate_bad_config_exit_code(tmp_path):
@@ -727,6 +768,16 @@ def _configs(draw):
     return config
 
 
+# Integers beyond int64 in float fields that the simulator multiplies by an
+# integer array or turns into an array.
+_SMALL = {"sim": {"attenuation_db": [30, 30], "n_packets": 5}, "sweep": [[30, 30]]}
+_BEYOND_INT64 = (
+    {**_SMALL, "sim": {**_SMALL["sim"], "multipath": [{"delay_slope_deg": 10**23}]}},
+    {**_SMALL, "distortion": {"sfo_slope_deg": 10**23}},
+    {**_SMALL, "distortion": {"delta_deg": [10**23, 0]}},
+)
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(["simulate", "sweep", "control"]), _configs())
@@ -734,6 +785,16 @@ def _configs(draw):
 @example("sweep", {"sim": {"attenuation_db": [0.0], "n_packets": 2, "tx_power_dbm": 0.0},
                    "distortion": {"cfo_rate_deg": 0.0}, "sweep": [[2.0**53]],
                    "control": {}, "thresholds": {}})
+# Each command on each config of _BEYOND_INT64.
+@example("simulate", _BEYOND_INT64[0])
+@example("sweep", _BEYOND_INT64[0])
+@example("control", _BEYOND_INT64[0])
+@example("simulate", _BEYOND_INT64[1])
+@example("sweep", _BEYOND_INT64[1])
+@example("control", _BEYOND_INT64[1])
+@example("simulate", _BEYOND_INT64[2])
+@example("sweep", _BEYOND_INT64[2])
+@example("control", _BEYOND_INT64[2])
 def test_config_exit_code_property(tmp_path, command, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

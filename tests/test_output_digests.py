@@ -3,7 +3,7 @@
 Each run is seeded, so its outputs are fixed bytes: calibrate and analyze
 on a simulated 200-packet 3x1 capture, a 3-row sweep and one control run.
 A change that moves any of these files must be deliberate, and must
-update its digest here.  manifest.json is left out: it holds a timestamp.
+update its digest here.  manifest.json is left out: it holds the run's paths.
 """
 
 import hashlib
@@ -30,6 +30,12 @@ GOLDEN = {
         "68ebf330a45f3b4ee73881c14c47768b59813c72a53ee775449d1695070dcc68",
     "sweep/report.csv":
         "7e229f331b0b80defdf909495478b664fafee3de08bb986f476663447e15aecf",
+    "sweep/amp_std.svg":
+        "ef1d24e935fd5af85017d6a5f6b114edd4791c96675b0168c2d57b4d43ff0638",
+    "sweep/phase_std.svg":
+        "70ceb078e9e97292ce515826473cf32d55d41a411cb160500f010608c48602b0",
+    "sweep/rssi_deviation.svg":
+        "a5c2e578deb24eacb095d6bec20ccff8bded189335e5ee845ae181e5b6ce33ad",
     "control/trajectory.jsonl":
         "49b8b19087d044d69813f212aa53d900000cdc28782bba8d3c4d88fd320212e9",
 }
