@@ -30,6 +30,7 @@ from .ingest import (
     CalibrationConstants,
     common_n_rx,
     encode_binary_trace,
+    layout_runs,
     parse_binary_trace,
     parse_text_trace,
     split_lines,
@@ -216,9 +217,9 @@ def _cmd_calibrate(args) -> None:
     records = _read_trace(args.in_path)
     n_rx = common_n_rx(records) if records else 0
     consts = CalibrationConstants(c_fixed=args.consts_c)
-    frames = [calibrate(r, consts) for r in records]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    frames = [calibrate(records[run], consts) for run in layout_runs(records)]
     (out_dir / "amplitudes.csv").write_text(frames_to_csv(frames))
     if n_rx >= 2:
         series = [differential_series(records, pair) for pair in canonical_pairs(n_rx)]
@@ -228,6 +229,7 @@ def _cmd_calibrate(args) -> None:
 def _cmd_analyze(args) -> None:
     records = _read_trace(args.in_path)
     consts = CalibrationConstants(args.consts_c, args.agc_min, args.agc_max)
+    _typed(args.tx_power, float | None, "--tx-power")
     stats = variation_stats(records, consts)
     losses = None
     if args.tx_power is not None:

@@ -167,7 +167,7 @@ def _validate_csi(csi: np.ndarray) -> None:
         raise InvariantViolation("csi components must lie in [-128, 127]")
 
 
-#: Records stacked at a time by _validated_groups; bounds the copy it holds.
+#: Records stacked at a time by _validated_groups and calibrate; bounds the copy each holds.
 _STACK_RECORDS = 256
 
 
@@ -210,6 +210,15 @@ def common_n_rx(records: list[RawCsiRecord]) -> int:
         if r.n_rx != n_rx:
             raise MixedLayout(f"record {t} has n_rx={r.n_rx}, record 0 has n_rx={n_rx}")
     return n_rx
+
+
+def layout_runs(records: list[RawCsiRecord]) -> list[slice]:
+    """A slice for each run of consecutive records of one (n_rx, n_tx).
+
+    The records of one run have csi of one shape, so they stack.
+    """
+    starts = [t for t, r in enumerate(records) if t == 0 or r.csi.shape != records[t - 1].csi.shape]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(records)])]
 
 
 # --- binary format -----------------------------------------------------------

@@ -9,12 +9,13 @@ per-subcarrier amplitude in dBm.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import CalibrationConstants, RawCsiRecord, common_n_rx
+from .ingest import _STACK_RECORDS, CalibrationConstants, RawCsiRecord, common_n_rx, layout_runs
 
 #: Canonical unordered port pairs, reported numerator-first (2/1, 3/2, 1/3).
 PORT_PAIRS_3 = ((1, 0), (2, 1), (0, 2))
@@ -34,20 +35,22 @@ def pair_label(pair: tuple[int, int]) -> str:
 
 @dataclass
 class CalibratedFrame:
-    """Absolute powers and per-subcarrier amplitudes for one record.
+    """Absolute powers and per-subcarrier amplitudes of one record or a capture.
 
-    port_power_dbm holds n_rx floats, NaN for a port that reads absent
-    (RSSI 0).  amplitude_dbm has the same shape as the record's CSI matrix;
-    entries whose CSI magnitude is exactly zero, and every entry of an
-    absent port, hold NaN, the "unmeasurable" sentinel (never -inf), so
-    downstream statistics can skip rather than propagate them.  A record
-    with no reading has NaN rho, and NaN total_power_dbm if every port
-    reads absent.
+    For one record, port_power_dbm is a tuple of n_rx floats, NaN for a port
+    that reads absent (RSSI 0), and amplitude_dbm has the shape of the
+    record's CSI matrix; entries whose CSI magnitude is exactly zero, and
+    every entry of an absent port, hold NaN, the "unmeasurable" sentinel
+    (never -inf), so downstream statistics can skip rather than propagate
+    them.  A record with no reading has NaN rho, and NaN total_power_dbm if
+    every port reads absent.  For a capture of T records every field is an
+    array with a leading T axis: port_power_dbm (T, n_rx), total_power_dbm
+    and rho (T,), amplitude_dbm (T, 30, n_rx, n_tx).
     """
 
-    port_power_dbm: tuple[float, ...]
-    total_power_dbm: float
-    rho: float
+    port_power_dbm: tuple[float, ...] | np.ndarray
+    total_power_dbm: float | np.ndarray
+    rho: float | np.ndarray
     amplitude_dbm: np.ndarray = field(repr=False)
 
 
@@ -100,16 +103,14 @@ def check_ratio_consistency(records: list[RawCsiRecord]) -> list[PairRatio]:
         return []
     n_rx = common_n_rx(records)
     # Each record's CSI power per port, summed over one C-contiguous row of
-    # its (K, n_tx) entries; records are stacked by n_tx, since the row
-    # length sets the order of the sum and so its bits.
-    n_tx = np.array([r.n_tx for r in records])
+    # its (K, n_tx) entries; the row length sets the order of the sum and
+    # so its bits.
     power = np.empty((len(records), n_rx))
-    for m in set(n_tx.tolist()):
-        idx = np.flatnonzero(n_tx == m)
-        sq = np.abs(np.array([records[t].csi for t in idx]))  # (T_m, K, n_rx, m)
+    for run in layout_runs(records):
+        sq = np.abs(np.array([r.csi for r in records[run]]))  # (T_run, K, n_rx, n_tx)
         sq *= sq
-        rows = np.ascontiguousarray(sq.transpose(0, 2, 1, 3)).reshape(idx.size, n_rx, -1)
-        power[idx] = rows.sum(axis=2)
+        rows = np.ascontiguousarray(sq.transpose(0, 2, 1, 3)).reshape(len(sq), n_rx, -1)
+        power[run] = rows.sum(axis=2)
     # math.log10, whose bits do not depend on the platform's SIMD loops.
     log_power = np.array([math.log10(s) if s else math.nan for s in power.ravel().tolist()])
     log_power = log_power.reshape(power.shape)
@@ -126,71 +127,77 @@ def check_ratio_consistency(records: list[RawCsiRecord]) -> list[PairRatio]:
     return results
 
 
-def calibrate(record: RawCsiRecord, consts: CalibrationConstants) -> CalibratedFrame:
+def calibrate(records: RawCsiRecord | list, consts: CalibrationConstants) -> CalibratedFrame:
     """Restore absolute per-port power and per-subcarrier amplitude in dBm.
 
-    A record with no reading, every port absent or zero CSI on every
-    present port, calibrates to NaN as an absent port and a zero CSI entry
-    do (see CalibratedFrame); it never raises.
+    records is one record, or a capture: a non-empty list of records of
+    one n_rx and n_tx, such as one run of layout_runs.  A capture's frame
+    gives every field a leading T axis (see CalibratedFrame), and its row t
+    equals the frame of record t alone.  A record with no reading, every
+    port absent or zero CSI on every present port, calibrates to NaN as an
+    absent port and a zero CSI entry do; it never raises.
+
+    Integer CSI, which every trace holds, calibrates exactly: each squared
+    magnitude, and each record's sum of them, is exact in any order.  Float
+    CSI (the simulator with quantize off) has no exact sum: summing a
+    record's squares in another order, as a loop over its own csi array
+    does, may move an amplitude by about 1e-14 dB.
     """
-    present = record.present_ports()
-    port_power = tuple([rssi_to_dbm(rssi, record.agc, consts)
-                        for rssi in record.rssi[: record.n_rx]])
-    p_total = total_power(port_power)
-
-    sq = np.abs(record.csi) ** 2
-    if len(present) < record.n_rx:  # an absent port has no amplitude
-        sq[:, np.isnan(port_power), :] = 0.0
-    denom = float(sq[:, present, :].sum())
-    rho = 10.0 ** (p_total / 10.0) / denom if denom else math.nan
-
-    with np.errstate(divide="ignore"):
-        amplitude = 10.0 * np.log10(rho * sq)
-    amplitude[sq == 0.0] = np.nan  # unmeasurable, not -inf
-
-    return CalibratedFrame(
-        port_power_dbm=port_power,
-        total_power_dbm=p_total,
-        rho=rho,
-        amplitude_dbm=amplitude,
-    )
+    if isinstance(records, RawCsiRecord):
+        f = calibrate([records], consts)
+        return CalibratedFrame(tuple(f.port_power_dbm[0].tolist()), f.total_power_dbm.item(),
+                               f.rho.item(), f.amplitude_dbm[0])
+    port_power = np.array([[rssi_to_dbm(rssi, r.agc, consts) for rssi in r.rssi[: r.n_rx]]
+                           for r in records])
+    p_total = [total_power(row) for row in port_power.tolist()]
+    amplitude = np.empty((len(records), *records[0].csi.shape))
+    rho = np.empty(len(records))
+    for start in range(0, len(records), _STACK_RECORDS):
+        part = slice(start, start + _STACK_RECORDS)
+        csi = np.stack([r.csi for r in records[part]])
+        sq = amplitude[part]  # |csi|^2, then the amplitude, in place
+        np.add(csi.real * csi.real, csi.imag * csi.imag, out=sq)
+        # An absent port has no amplitude.
+        sq.transpose(0, 2, 1, 3)[np.isnan(port_power[part])] = 0.0
+        denom = sq.reshape(len(sq), -1).sum(axis=1).tolist()
+        rho[part] = [10.0 ** (p / 10.0) / d if d else math.nan
+                     for p, d in zip(p_total[part], denom)]
+        sq[sq == 0.0] = np.nan  # unmeasurable, not -inf
+        sq *= rho[part, None, None, None]
+        np.log10(sq, out=sq)
+        sq *= 10.0
+    return CalibratedFrame(port_power, np.array(p_total), rho, amplitude)
 
 
 # --- serialization -----------------------------------------------------------
 
 def frames_to_csv(frames: list[CalibratedFrame]) -> str:
-    """CSV with columns: packet index, port, subcarrier, amplitude_dbm.
+    """CSV with columns: packet index, port, subcarrier, tx, amplitude_dbm.
 
-    The header block lists the first frame's power of each present port and
-    its total power as comment lines; a first frame whose every port reads
-    absent has none.  Rows end in CRLF, as the stdlib csv writer's; a NaN
+    frames holds capture frames (see calibrate), one per layout run of a
+    capture, in order; packets are numbered across them.  The header block
+    lists the first packet's power of each present port and its total
+    power as comment lines; a first packet whose every port reads absent
+    has none.  Rows end in CRLF, as the stdlib csv writer's; a NaN
     amplitude is written as an empty value (docs/FORMATS.md).
     """
     buf = io.StringIO()
     if frames:
         first = frames[0]
-        for port, power in enumerate(first.port_power_dbm):
+        for port, power in enumerate(first.port_power_dbm[0].tolist()):
             if not math.isnan(power):
                 buf.write(f"# port_power_dbm,port={port + 1},{power:.4f}\n")
-        if not math.isnan(first.total_power_dbm):
-            buf.write(f"# total_power_dbm,{first.total_power_dbm:.4f}\n")
-    write = buf.write
-    write("packet,port,subcarrier,tx,amplitude_dbm\r\n")
-    shape = None
-    for t, frame in enumerate(frames):
+        if not math.isnan(first.total_power_dbm[0]):
+            buf.write(f"# total_power_dbm,{first.total_power_dbm[0]:.4f}\n")
+    buf.write("packet,port,subcarrier,tx,amplitude_dbm\r\n")
+    packets = itertools.count()
+    for frame in frames:
         amp = frame.amplitude_dbm
-        if amp.shape != shape:
-            # ",port,subcarrier,tx," of every entry in C order of (k, p, tx).
-            shape = amp.shape
-            n_sc, n_rx, n_tx = shape
-            prefixes = [
-                f",{p + 1},{k},{tx},"
-                for k in range(n_sc) for p in range(n_rx) for tx in range(n_tx)
-            ]
-        packet = str(t)
-        for prefix, v in zip(prefixes, amp.reshape(-1).tolist()):
-            if v != v:  # NaN
-                write(f"{packet}{prefix}\r\n")
-            else:
-                write(f"{packet}{prefix}{v:.6f}\r\n")
+        # One packet's rows, in C order of (k, p, tx), with "\0" for its
+        # index; a NaN amplitude formats as "nan".
+        template = "".join([f"\0,{p + 1},{k},{tx},%.6f\r\n"
+                            for k, p, tx in np.ndindex(amp.shape[1:])])
+        for row, packet in zip(amp.reshape(len(amp), -1), packets):
+            buf.write((template % tuple(row.tolist())).replace("\0", str(packet))
+                      .replace("nan", ""))
     return buf.getvalue()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InsufficientData
-from .ingest import N_SUBCARRIERS, CalibrationConstants, RawCsiRecord, common_n_rx
+from .ingest import N_SUBCARRIERS, CalibrationConstants, RawCsiRecord, common_n_rx, layout_runs
 from .phase import circular_stats, differential_series
 from .powercalib import calibrate, canonical_pairs, pair_label
 
@@ -103,8 +103,17 @@ def variation_stats(
     n_rx = common_n_rx(records)
     pairs = canonical_pairs(n_rx)
 
-    frames = [calibrate(r, consts) for r in records]
-    amp = np.array([f.amplitude_dbm[:, :, 0] for f in frames])  # (T, 30, n_rx)
+    # Per record: the first stream's amplitudes, the port powers, and each
+    # port's share of entries with no reading (zero CSI or an absent port,
+    # the NaN of calibrate).
+    amp = np.empty((len(records), N_SUBCARRIERS, n_rx))
+    power = np.empty((len(records), n_rx))
+    no_reading = np.empty((n_rx, len(records)))
+    for run in layout_runs(records):
+        frame = calibrate(records[run], consts)
+        amp[run] = frame.amplitude_dbm[..., 0]
+        power[run] = frame.port_power_dbm
+        no_reading[:, run] = np.isnan(frame.amplitude_dbm).mean(axis=(1, 3)).T
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         amp_mean = np.nanmean(amp, axis=0).T  # (n_rx, 30)
@@ -112,19 +121,10 @@ def variation_stats(
 
     phase = [circular_stats(differential_series(records, pair).phase_deg) for pair in pairs]
 
-    # Per port, the mean over records of each record's fraction of entries
-    # with no reading: zero CSI or an absent port, the NaN of calibrate.
-    # Records may differ in n_tx, so their amplitudes are joined along the
-    # tx axis and each record's columns summed back with reduceat.
-    n_tx = np.array([r.n_tx for r in records])
-    nan = np.isnan(np.concatenate([f.amplitude_dbm for f in frames], axis=2)).sum(axis=0)
-    per_record = np.add.reduceat(nan, np.cumsum(n_tx) - n_tx, axis=1)
-    zero_fraction = (per_record / (N_SUBCARRIERS * n_tx)).mean(axis=1)  # (n_rx,)
-
-    # One contiguous row per port, so that each mean sums in np.mean's
-    # pairwise order whichever records read the port absent.
+    # One contiguous row per port, here and in no_reading, so that each mean
+    # sums in np.mean's pairwise order whichever records read the port absent.
     port_power = np.full(n_rx, np.nan)
-    for p, row in enumerate(np.array([f.port_power_dbm for f in frames]).T):
+    for p, row in enumerate(power.T):
         row = row[~np.isnan(row)]
         if row.size:
             port_power[p] = row.mean()
@@ -134,7 +134,7 @@ def variation_stats(
         amp_std_db=amp_std,
         phase_mean_deg=np.array([s["mean_deg"] for s in phase]).reshape(-1, N_SUBCARRIERS),
         phase_std_deg=np.array([s["std_deg"] for s in phase]).reshape(-1, N_SUBCARRIERS),
-        zero_fraction=zero_fraction,
+        zero_fraction=no_reading.mean(axis=1),
         pairs=pairs,
         agc_readouts=tuple(int(r.agc) for r in records),
         port_power_mean_dbm=port_power,

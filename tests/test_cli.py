@@ -213,9 +213,10 @@ def test_calibrate_and_analyze_mask_an_absent_port_alike(tmp_path):
     assert len(absent_rows) == 30
     assert all(row[-1] == "" for row in absent_rows)
     assert all(row[-1] != "" for row in amp_rows[1:] if row[:2] != ["17", "3"])
-    frames = [calibrate(r, CalibrationConstants()) for r in records]
-    for p, used in ((0, frames), (1, frames), (2, frames[:17] + frames[18:])):
-        amp = np.array([f.amplitude_dbm[:, p, 0] for f in used])
+    frame = calibrate(records, CalibrationConstants())
+    everyone = list(range(50))
+    for p, used in ((0, everyone), (1, everyone), (2, everyone[:17] + everyone[18:])):
+        amp = frame.amplitude_dbm[used, :, p, 0]
         std = np.mean(np.std(amp, axis=0))
         assert stats_row[f"amp_std_port{p + 1}_db"] == f"{std:.4f}"
 
@@ -616,6 +617,18 @@ def test_chain_offset_out_of_range_is_config_error(tmp_path, capsys, value):
         assert main([command, "--in", str(trace), "--out", str(out), f"--consts-c={value}"]) == 4
         assert "puts calibrated port powers beyond the float range" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_analyze_non_finite_tx_power_is_config_error(tmp_path, capsys, value):
+    # NaN would pass every loss check and infinity read as an infinite loss.
+    trace = tmp_path / "trace.txt"
+    trace.write_text(_capture_text(n=20))
+    out = tmp_path / "ana"
+    assert main(["analyze", "--in", str(trace), "--out", str(out),
+                 f"--tx-power={value}"]) == 4
+    assert "--tx-power must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_only_analyze_reads_the_agc_clamps(tmp_path, capsys):

@@ -203,9 +203,7 @@ def test_calibrate_no_present_ports(consts):
 
 
 def test_frames_to_csv_header_of_a_record_with_no_reading(consts):
-    absent = calibrate(make_record(rssi=(0, 0, 0)), consts)
-    present = calibrate(make_record(), consts)
-    text = frames_to_csv([absent, present])
+    text = frames_to_csv([calibrate([make_record(rssi=(0, 0, 0)), make_record()], consts)])
     assert text.startswith("packet,port,subcarrier,tx,amplitude_dbm\r\n")
     assert "#" not in text
     # Its rows are there, every amplitude empty.
@@ -213,7 +211,7 @@ def test_frames_to_csv_header_of_a_record_with_no_reading(consts):
     assert rows[0] == "0,1,0,0," and all(row.endswith(",") for row in rows)
     assert rows[-1] == "0,3,29,0,"
     # Zero CSI keeps the powers, whose lines follow the port lines' rule.
-    zero = calibrate(make_record(csi=np.zeros((30, 3, 1), dtype=complex)), consts)
+    zero = calibrate([make_record(csi=np.zeros((30, 3, 1), dtype=complex))], consts)
     header = frames_to_csv([zero]).split("packet,")[0].splitlines()
     assert [line.split(",")[0] for line in header] == ["# port_power_dbm"] * 3 + [
         "# total_power_dbm"]
