@@ -214,6 +214,14 @@ def _cmd_parse(args) -> None:
 
 
 def _cmd_calibrate(args) -> None:
+    """amplitudes.csv, and phases.csv for a capture of two or more ports.
+
+    Each stage drops what it no longer needs before the next one writes:
+    the frames once amplitudes.csv is written, the records once the phase
+    series exist.  The peak memory of the command is reached while a CSV
+    text is encoded to the file, and those releases keep the capture's
+    arrays from adding to it.
+    """
     records = _read_trace(args.in_path)
     n_rx = common_n_rx(records) if records else 0
     consts = CalibrationConstants(c_fixed=args.consts_c)
@@ -221,8 +229,10 @@ def _cmd_calibrate(args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     frames = [calibrate(records[run], consts) for run in layout_runs(records)]
     (out_dir / "amplitudes.csv").write_text(frames_to_csv(frames))
-    if n_rx >= 2:
-        series = [differential_series(records, pair) for pair in canonical_pairs(n_rx)]
+    del frames
+    series = differential_series(records, canonical_pairs(n_rx))
+    del records
+    if series:
         (out_dir / "phases.csv").write_text(series_to_csv(series))
 
 

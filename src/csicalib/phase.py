@@ -11,11 +11,12 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from .errors import AbsentPort
-from .ingest import N_SUBCARRIERS, RawCsiRecord
+from .ingest import _STACK_RECORDS, N_SUBCARRIERS, RawCsiRecord
 from .powercalib import pair_label
 
 
@@ -30,24 +31,6 @@ def wrap_deg(angle_deg):
     """Wrap angles (scalar or array) to (-180, 180]."""
     # [()] returns a scalar for scalar input and the array otherwise.
     return _wrap_in_place(np.array(angle_deg, dtype=float))[()]
-
-
-def _phase_difference(hi: np.ndarray, hj: np.ndarray) -> np.ndarray:
-    """Wrapped angle(hi) - angle(hj) in degrees, elementwise, any shape.
-
-    Where either sample is zero the phase is undefined and holds NaN.
-    """
-    # Every step writes in place: over a whole capture each temporary is
-    # T x 30 floats, and freeing them fragments the heap enough to raise
-    # the peak memory of the CSV writing that follows.
-    phase = np.angle(hi)
-    np.degrees(phase, out=phase)
-    angle_j = np.angle(hj)
-    np.degrees(angle_j, out=angle_j)
-    np.subtract(phase, angle_j, out=phase)
-    _wrap_in_place(phase)
-    phase[(hi == 0) | (hj == 0)] = np.nan
-    return phase
 
 
 @dataclass
@@ -67,29 +50,56 @@ class DifferentialPhaseSeries:
 
 
 def differential_series(
-    records: list[RawCsiRecord], pair: tuple[int, int]
-) -> DifferentialPhaseSeries:
+    records: list[RawCsiRecord], pairs: tuple
+) -> DifferentialPhaseSeries | list[DifferentialPhaseSeries]:
     """Differential phase of every record on the first transmit stream.
 
-    A record where either port of the pair reads absent (RSSI 0) has no
+    pairs is one ordered port pair (i, j), which gives one series, or a
+    tuple of pairs, as canonical_pairs returns, which gives a list of
+    series in that order, each equal to its one-pair call's.  The capture
+    is read once for all pairs: each record's first-stream CSI is stacked,
+    and each port's angles and unmeasurable entries are found, once per
+    call.
+
+    A record where either port of a pair reads absent (RSSI 0) has no
     pair phase: its whole row is NaN, as a zero CSI entry is.  A pair port
-    beyond a record's n_rx raises AbsentPort.
+    beyond a record's n_rx raises AbsentPort, as the first failing pair's
+    one-pair call would.
     """
-    i, j = pair
-    absent = []
-    for t, record in enumerate(records):
-        for port in pair:
-            if port >= record.n_rx:
-                raise AbsentPort(f"port {port + 1} absent")
-        if record.rssi[i] == 0 or record.rssi[j] == 0:
-            absent.append(t)
-    # The reshape gives an empty capture its (0, 30) shape.
-    phase = _phase_difference(
-        np.array([r.csi[:, i, 0] for r in records]).reshape(-1, N_SUBCARRIERS),
-        np.array([r.csi[:, j, 0] for r in records]).reshape(-1, N_SUBCARRIERS),
-    )
-    phase[absent] = np.nan
-    return DifferentialPhaseSeries(pair=pair, phase_deg=phase)
+    if len(pairs) == 0:
+        return []
+    if isinstance(pairs[0], Integral):
+        return differential_series(records, (pairs,))[0]
+    n_rx = np.array([r.n_rx for r in records], dtype=int)
+    for pair in pairs:
+        short = np.flatnonzero(n_rx <= max(pair))
+        if short.size:
+            n = n_rx[short[0]]
+            raise AbsentPort(f"port {next(p for p in pair if p >= n) + 1} absent")
+    # Each port's angles in degrees, and where it has no phase: at a zero
+    # entry, or anywhere in a record where it reads absent.  Every record
+    # has the ports below m.  At most _STACK_RECORDS records are stacked at
+    # a time, as in calibrate: stacking a whole capture at once raised the
+    # peak memory of the commands that call this.
+    m = 1 + max(max(pair) for pair in pairs)
+    angle = np.empty((len(records), N_SUBCARRIERS, m))
+    unmeasurable = np.empty(angle.shape, dtype=bool)
+    for start in range(0, len(records), _STACK_RECORDS):
+        part = slice(start, start + _STACK_RECORDS)
+        csi = np.array([r.csi[:, :m, 0] for r in records[part]])
+        np.arctan2(csi.imag, csi.real, out=angle[part])  # np.angle(csi)
+        np.equal(csi, 0, out=unmeasurable[part])
+        absent = np.array([r.rssi[:m] for r in records[part]]) == 0
+        unmeasurable[part] |= absent[:, None, :]
+    np.degrees(angle, out=angle)
+    series = []
+    for pair in pairs:
+        i, j = pair
+        phase = np.subtract(angle[..., i], angle[..., j])
+        _wrap_in_place(phase)
+        phase[unmeasurable[..., i] | unmeasurable[..., j]] = np.nan
+        series.append(DifferentialPhaseSeries(pair=pair, phase_deg=phase))
+    return series
 
 
 def circular_stats(angles_deg) -> dict:
@@ -128,19 +138,17 @@ def series_to_csv(series_list: list[DifferentialPhaseSeries]) -> str:
     """CSV export: packet index, subcarrier, pair, phase_deg, unmeasurable.
 
     Rows end in CRLF, as the stdlib csv writer's; a NaN phase is written as
-    an empty value with unmeasurable 1 (docs/FORMATS.md).
+    an empty value with unmeasurable 1 (docs/FORMATS.md).  Each series
+    fills one %-template per packet, whose cells format as f"{v:.6f}".
     """
     buf = io.StringIO()
-    write = buf.write
-    write("packet,subcarrier,pair,phase_deg,unmeasurable\r\n")
+    buf.write("packet,subcarrier,pair,phase_deg,unmeasurable\r\n")
     for series in series_list:
-        n_pkt, n_sc = series.phase_deg.shape
-        middles = [f",{k},{series.label}," for k in range(n_sc)]
-        for t in range(n_pkt):
-            packet = str(t)
-            for middle, v in zip(middles, series.phase_deg[t].tolist()):
-                if v != v:  # NaN
-                    write(f"{packet}{middle},1\r\n")
-                else:
-                    write(f"{packet}{middle}{v:.6f},0\r\n")
+        # One packet's rows, with "\0" for its index; a NaN phase formats
+        # as "nan", and no other cell ends a value in "nan".
+        template = "".join([f"\0,{k},{series.label},%.6f,0\r\n"
+                            for k in range(series.phase_deg.shape[1])])
+        for packet, row in enumerate(series.phase_deg):
+            buf.write((template % tuple(row.tolist())).replace("\0", str(packet))
+                      .replace("nan,0", ",1"))
     return buf.getvalue()

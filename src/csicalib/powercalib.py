@@ -104,11 +104,13 @@ def check_ratio_consistency(records: list[RawCsiRecord]) -> list[PairRatio]:
     n_rx = common_n_rx(records)
     # Each record's CSI power per port, summed over one C-contiguous row of
     # its (K, n_tx) entries; the row length sets the order of the sum and
-    # so its bits.
+    # so its bits.  Each square is re*re + im*im, as in calibrate: exact on
+    # integer CSI, where |csi|**2 is not.
     power = np.empty((len(records), n_rx))
     for run in layout_runs(records):
-        sq = np.abs(np.array([r.csi for r in records[run]]))  # (T_run, K, n_rx, n_tx)
-        sq *= sq
+        csi = np.array([r.csi for r in records[run]])  # (T_run, K, n_rx, n_tx)
+        sq = csi.real * csi.real
+        sq += csi.imag * csi.imag
         rows = np.ascontiguousarray(sq.transpose(0, 2, 1, 3)).reshape(len(sq), n_rx, -1)
         power[run] = rows.sum(axis=2)
     # math.log10, whose bits do not depend on the platform's SIMD loops.

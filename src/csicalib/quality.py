@@ -102,6 +102,9 @@ def variation_stats(
         raise InsufficientData("need at least two records")
     n_rx = common_n_rx(records)
     pairs = canonical_pairs(n_rx)
+    # The phase statistics come first, so that the capture's series are
+    # gone before its amplitudes are held.
+    phase = [circular_stats(s.phase_deg) for s in differential_series(records, pairs)]
 
     # Per record: the first stream's amplitudes, the port powers, and each
     # port's share of entries with no reading (zero CSI or an absent port,
@@ -118,8 +121,6 @@ def variation_stats(
         warnings.simplefilter("ignore", RuntimeWarning)
         amp_mean = np.nanmean(amp, axis=0).T  # (n_rx, 30)
         amp_std = np.nanstd(amp, axis=0).T
-
-    phase = [circular_stats(differential_series(records, pair).phase_deg) for pair in pairs]
 
     # One contiguous row per port, here and in no_reading, so that each mean
     # sums in np.mean's pairwise order whichever records read the port absent.

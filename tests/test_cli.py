@@ -20,7 +20,7 @@ from csicalib import (
     variation_stats,
     write_text_trace,
 )
-from csicalib import cli
+from csicalib import cli, quality
 from csicalib.cli import main
 from csicalib.errors import CsiCalibError, SchemaError
 
@@ -228,6 +228,27 @@ def test_calibrate_and_analyze_mask_an_absent_port_alike(tmp_path):
     assert stats.zero_fraction[:2].tolist() == zero_csi[:2]
     assert stats.zero_fraction[2] == pytest.approx(zero_csi[2] + 1 / 50, abs=1e-15)
     assert stats_row["zero_fraction_port3"] == f"{stats.zero_fraction[2]:.4f}"
+
+
+def test_phase_series_are_made_once_per_capture(tmp_path, monkeypatch):
+    # One differential_series call for all pairs of a capture, in calibrate,
+    # in analyze and for each sweep point; never one call per pair.
+    calls = []
+
+    def counted(records, pairs):
+        calls.append(pairs)
+        return differential_series(records, pairs)
+
+    monkeypatch.setattr(cli, "differential_series", counted)
+    monkeypatch.setattr(quality, "differential_series", counted)
+    trace = tmp_path / "trace.txt"
+    trace.write_text(_capture_text())
+    for command in ("calibrate", "analyze"):
+        assert main([command, "--in", str(trace), "--out", str(tmp_path / command)]) == 0
+    assert calls == [((1, 0), (2, 1), (0, 2))] * 2
+    config = _write_config(tmp_path, {"sweep": [[33, 30, 36], [40, 30, 36], [45, 30, 36]]})
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "sweep")]) == 0
+    assert len(calls) == 2 + 3
 
 
 @pytest.mark.parametrize("no_reading", ["zero_csi", "absent_ports"])

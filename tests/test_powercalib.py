@@ -238,8 +238,8 @@ def _ref_csi_power_ratio_db(csi_i, csi_j):
     """Power ratio of two per-subcarrier channel rows as a difference of log
     sums, so that swapping the arguments negates it exactly; None if either
     row is all zero."""
-    si = float(np.sum(np.abs(np.asarray(csi_i)) ** 2))
-    sj = float(np.sum(np.abs(np.asarray(csi_j)) ** 2))
+    si = float(np.sum(csi_i.real * csi_i.real + csi_i.imag * csi_i.imag))
+    sj = float(np.sum(csi_j.real * csi_j.real + csi_j.imag * csi_j.imag))
     if sj == 0.0 or si == 0.0:
         return None
     return 10.0 * (math.log10(si) - math.log10(sj))
@@ -301,3 +301,32 @@ def test_ratio_consistency_of_a_capture_matches_each_record(n_rx):
     assert all(pr.discrepancy_db.shape == (120,) for pr in ratios)
     for t, record in enumerate(records):
         assert repr(_per_record(ratios, t)) == repr(_ref_ratio_consistency(record))
+
+
+@pytest.mark.parametrize("n_rx", [2, 3])
+def test_ratio_consistency_csi_power_is_the_exact_integer_sum(n_rx):
+    # Integer CSI, mixed n_tx, each port's components within -r..r: each
+    # port's CSI power is exactly its integer sum of re*re + im*im, so each
+    # ratio is the difference of the logs of those sums, bit for bit.  With
+    # small components, as a weak port reads, |csi|**2 is often not exact:
+    # abs(1+1j)**2 is 2.0000000000000004.
+    rng = np.random.default_rng(40 + n_rx)
+    records = []
+    for _ in range(200):
+        n_tx = int(rng.integers(1, 4))
+        r = rng.choice([0, 1, 2, 3, 127], size=(1, n_rx, 1))
+        csi = (rng.integers(-r, r + 1, (30, n_rx, n_tx))
+               + 1j * rng.integers(-r, r + 1, (30, n_rx, n_tx)))
+        records.append(make_record(csi=csi, n_rx=n_rx, n_tx=n_tx,
+                                   rssi=(36, 39, 31)[:n_rx] + (0,) * (3 - n_rx)))
+    ratios = check_ratio_consistency(records)
+    for t, record in enumerate(records):
+        re = record.csi.real.astype(int)
+        im = record.csi.imag.astype(int)
+        power = [sum(int(v) for v in (re[:, p] ** 2 + im[:, p] ** 2).ravel())
+                 for p in range(n_rx)]
+        log_power = [math.log10(s) if s else math.nan for s in power]
+        for pr in ratios:
+            j, i = pr.pair
+            expected = 10.0 * (log_power[j] - log_power[i])
+            assert repr(float(pr.csi_ratio_db[t])) == repr(expected)

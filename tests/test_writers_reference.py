@@ -8,10 +8,12 @@ give exactly the same bytes and bits.
 
 import csv
 import io
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from csicalib import (
     SimConfig,
@@ -23,10 +25,10 @@ from csicalib import (
 )
 from csicalib.errors import AbsentPort
 from csicalib.ingest import layout_runs
-from csicalib.phase import series_to_csv
+from csicalib.phase import DifferentialPhaseSeries, series_to_csv
 from csicalib.powercalib import canonical_pairs, frames_to_csv
 
-from conftest import REALISTIC_DISTORTION, random_record
+from conftest import REALISTIC_DISTORTION, make_record, random_record
 
 
 def _ref_frames_to_csv(frames):
@@ -219,3 +221,94 @@ def test_port_beyond_n_rx_errors_match_reference(captures):
         with pytest.raises(AbsentPort) as new:
             differential_series(records, pair)
         assert str(new.value) == str(ref.value) == "port 3 absent"
+
+
+@st.composite
+def _pair_captures(draw):
+    """Records of n_rx 1-3 and n_tx 1-3, with zero CSI entries and absent
+    ports, and a tuple of ordered pairs of ports 0-2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    min_rx = draw(st.integers(1, 3))
+    records = []
+    for _ in range(draw(st.integers(0, 12))):
+        n_rx = int(rng.integers(min_rx, 4))
+        n_tx = int(rng.integers(1, 4))
+        # Components in -2..2: about one entry in eight is zero.
+        shape = (30, n_rx, n_tx)
+        csi = rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape)
+        rssi = [int(v) if rng.random() > 0.2 else 0 for v in rng.integers(1, 256, n_rx)]
+        records.append(make_record(csi=csi, n_rx=n_rx, n_tx=n_tx,
+                                   rssi=rssi + [0] * (3 - n_rx),
+                                   antenna_perm=list(range(n_rx)) + [0] * (3 - n_rx)))
+    ordered = list(itertools.permutations(range(3), 2))
+    pairs = draw(st.lists(st.sampled_from(ordered), max_size=4).map(tuple))
+    return records, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_captures())
+@example(([], ((1, 0), (2, 1), (0, 2))))
+@example(([make_record()], ()))
+def test_pairs_call_equals_one_pair_calls(capture):
+    # Bit for bit, NaN included, and equal to the per-record reference;
+    # where the reference raises for a pair, the call for all pairs raises
+    # the error of the first such pair.
+    records, pairs = capture
+    expected = []
+    for pair in pairs:
+        try:
+            expected.append(_ref_differential_series(records, pair)[0].reshape(-1, 30))
+        except AbsentPort as exc:
+            for call in (pairs, pair):
+                with pytest.raises(AbsentPort) as got:
+                    differential_series(records, call)
+                assert str(got.value) == str(exc)
+            return
+    got = differential_series(records, pairs)
+    assert [s.pair for s in got] == list(pairs)
+    for new, pair, ref_phase in zip(got, pairs, expected):
+        _assert_bit_identical(new.phase_deg, ref_phase)
+        _assert_bit_identical(new.phase_deg, differential_series(records, pair).phase_deg)
+
+
+def test_pairs_call_raises_the_first_failing_pairs_error():
+    # Record 1 has two ports and record 2 one: pair 2/1 first fails on
+    # record 2, pair 1/3 on record 1.
+    records = [make_record(), make_record(n_rx=2, rssi=(36, 39, 0)),
+               make_record(n_rx=1, rssi=(36, 0, 0))]
+    for pairs, message in ((((1, 0), (2, 1), (0, 2)), "port 2 absent"),
+                           (((0, 2), (1, 0)), "port 3 absent"),
+                           (((1, 0), (0, 1)), "port 2 absent"),
+                           (((2, 0), (1, 0)), "port 3 absent")):
+        with pytest.raises(AbsentPort, match=message):
+            differential_series(records, pairs)
+        with pytest.raises(AbsentPort, match=message):
+            [differential_series(records, pair) for pair in pairs]
+    # The message names the first port of the pair that the record lacks.
+    with pytest.raises(AbsentPort, match="port 2 absent"):
+        differential_series(records[::2], ((1, 2),))
+
+
+# Cells that stress the %.6f template: NaN, signed zeros, values that
+# round to -0.000000 or to +-180.000000, and the wrap boundary itself.
+_EDGE_PHASES = [np.nan, -0.0, 0.0, -4e-7, 4e-7, -5e-7, 5e-7, 179.9999996,
+                -179.9999996, 180.0, -180.0, 1e-300, -1e-300]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(list(itertools.permutations(range(3), 2))),
+    st.lists(st.one_of(st.sampled_from(_EDGE_PHASES),
+                       st.floats(-180.0, 180.0, allow_nan=False)),
+             min_size=0, max_size=90),
+    st.sets(st.integers(0, 2))), max_size=3))
+def test_series_to_csv_matches_reference(spec):
+    series = []
+    for pair, values, nan_rows in spec:
+        phase = np.resize(np.array(values, dtype=float), (len(values) // 30 + 1) * 30)
+        phase = phase.reshape(-1, 30) if values else np.empty((0, 30))
+        for t in nan_rows:
+            if t < len(phase):
+                phase[t] = np.nan  # a record with no pair phase
+        series.append(DifferentialPhaseSeries(pair=pair, phase_deg=phase))
+    assert series_to_csv(series) == _ref_series_to_csv(series)
