@@ -2,11 +2,15 @@
 
 _ref_parse_text_trace below reads every line with json.loads and checks
 it field by field; the reference writer, json.dumps of one object per
-record, is in test_codec_reference.py.  The library reads a line in the
-writer's canonical form through two regular expressions and one
-np.fromstring call, and sends every other line, or a canonical line that
-fails a check, to the json.loads path.  It must give the same records and
-the same errors (class, line number and message) for every input.
+record, is in test_codec_reference.py.  The library reads a trace a block
+of lines at a time.  A block of lines in the writer's canonical form goes
+through a regular expression and a bytes.translate per line, then a byte
+check of every CSI number and one np.fromstring call for the block.  Each
+line of any other block is read alone, the same way or else with
+json.loads.  It must give the same records and the same errors (class,
+line number and message) for every input.  _REF_PAIRS, the grammar of a
+canonical CSI body as a regular expression, is the reference of the byte
+check.
 """
 
 import json
@@ -97,6 +101,21 @@ def _ref_parse_text_trace(text):
     return records
 
 
+# A canonical CSI body, the text between '"csi":[[' and ']]}': pairs of JSON
+# integers of at most 3 digits, joined by '],['.
+_REF_COMPONENT = r"-?(?:[1-9][0-9]{0,2}|0)"
+_REF_PAIR = _REF_COMPONENT + "," + _REF_COMPONENT
+_REF_PAIRS = re.compile(_REF_PAIR + r"(?:\],\[" + _REF_PAIR + ")*")
+
+
+def _ref_body_is_canonical(body, n_pairs):
+    """Whether a line of n_pairs pairs with this CSI body reads the canonical way."""
+    if not _REF_PAIRS.fullmatch(body):
+        return False
+    values = [int(v) for v in re.findall("-?[0-9]+", body)]
+    return len(values) == 2 * n_pairs and all(-128 <= v <= 127 for v in values)
+
+
 # --- helpers -----------------------------------------------------------------
 
 def _outcome(parse, text):
@@ -162,15 +181,26 @@ def test_simulated_capture_matches_reference():
 
 def test_canonical_lines_take_the_fast_path(monkeypatch):
     # A broken fast path would fall back to json.loads and still give the
-    # right records; so refuse the fallback for every non-blank line.
-    def no_fallback(line, lineno):
-        assert not line.strip(), f"line {lineno} left the fast path"
+    # right records; so note every line that reaches the fallback.
+    reached = []
+    from_json_line = ingest._from_json_line
+
+    def fallback(line, lineno):
+        reached.append(lineno)
+        return from_json_line(line, lineno)
 
     rng = np.random.default_rng(8)
     records = [random_record(rng) for _ in range(200)] + [_BASE]
-    text = write_text_trace(records)
-    monkeypatch.setattr(ingest, "_from_json_line", no_fallback)
-    _assert_same_records(parse_text_trace(text + "\n  \n"), records)
+    monkeypatch.setattr(ingest, "_from_json_line", fallback)
+    _assert_same_records(parse_text_trace(write_text_trace(records) + "\n  \n"), records)
+    assert reached == [203]  # the whitespace-only line; the empty ones are skipped
+    # In a block holding one non-canonical line, only that line falls back.
+    lines = write_text_trace(records).split("\n")
+    at = ingest._TEXT_BLOCK_LINES + 6
+    lines[at] = json.dumps(json.loads(lines[at]))
+    reached.clear()
+    _assert_same_records(parse_text_trace("\n".join(lines)), records)
+    assert reached == [at + 1]
 
 
 def test_blank_lines_and_crlf_match_reference():
@@ -242,6 +272,7 @@ _REJECTED = [
     _replaced('"noise":-92', '"noise":-129'),
     _LINE[:-1],                                             # cut short
     _LINE + "}",
+    _replaced('"csi":[[12,-3]', '"csi":[[18446744073709551621,-3]'),  # 2**64 + 5
 ]
 
 
@@ -251,9 +282,18 @@ def test_rejected_line_matches_reference(line):
     assert outcome[:2] == (SchemaError, 2)
 
 
-def test_rejection_corpus_raises_no_warning():
+def test_rejection_corpus_raises_no_warning(monkeypatch):
     # np.fromstring warns on an unmatched tail in numpy 1.x (and raises in
-    # 2.x): the patterns must keep every such string away from it.
+    # 2.x), and saturates a number beyond int64: the checks must keep every
+    # item but a short JSON integer away from it.
+    fromstring = np.fromstring
+
+    def only_short_integers(data, dtype, sep):
+        for item in data.split(b","):
+            assert re.fullmatch(_REF_COMPONENT.encode(), item), item
+        return fromstring(data, dtype=dtype, sep=sep)
+
+    monkeypatch.setattr(ingest.np, "fromstring", only_short_integers)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for line in _REJECTED:
@@ -284,6 +324,105 @@ def _mutated(line, edits):
 @given(st.sampled_from(_CANONICAL), st.lists(_edit, min_size=1, max_size=3))
 def test_mutated_canonical_line_matches_reference(line, edits):
     _assert_same_outcome(_three_lines(_mutated(line, edits)))
+
+
+# --- the byte check against the pairs grammar --------------------------------
+
+_CSI_START = '"csi":[['
+# The alphabet of a CSI body, then a sign, a space, a dot, an exponent, a
+# non-ASCII digit and a brace.
+_BODY_ALPHABET = "-0123456789,[]" + "+ .e\u0663}"
+_body_edit = st.tuples(st.sampled_from(["insert", "delete", "replace"]),
+                       st.integers(0, 10**6), st.sampled_from(_BODY_ALPHABET))
+
+
+def _body(line):
+    return line[line.index(_CSI_START) + len(_CSI_START) : -len("]]}")]
+
+
+def _with_body(line, body):
+    return line[: line.index(_CSI_START) + len(_CSI_START)] + body + "]]}"
+
+
+def _n_pairs(line):
+    return len(json.loads(line)["csi"])
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(_CANONICAL), st.lists(_body_edit, min_size=1, max_size=3))
+def test_byte_check_accepts_what_the_pairs_grammar_accepts(line, edits):
+    body = _mutated(_body(line), edits)
+    accepted = ingest._from_canonical_block([_with_body(line, body)]) is not None
+    assert accepted == _ref_body_is_canonical(body, _n_pairs(line))
+
+
+_BLOCK = write_text_trace([random_record(np.random.default_rng(17)) for _ in range(9)]
+                          + [_BASE]).split("\n")[:-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(_BLOCK) - 1), st.lists(_body_edit, min_size=1, max_size=3))
+def test_one_mutated_body_in_a_block(at, edits):
+    line = _BLOCK[at]
+    body = _mutated(_body(line), edits)
+    block = _BLOCK[:at] + [_with_body(line, body)] + _BLOCK[at + 1 :]
+    parsed = ingest._from_canonical_block(block)
+    assert (parsed is not None) == _ref_body_is_canonical(body, _n_pairs(line))
+    outcome = _assert_same_outcome("\n".join(block))
+    if parsed is not None:
+        _assert_same_records(parsed, outcome[1])
+
+
+# --- block edges -------------------------------------------------------------
+
+def _long_trace():
+    """Lines of a mixed-layout trace of two blocks and a part, the last one empty."""
+    rng = np.random.default_rng(23)
+    records = [random_record(rng) for _ in range(2 * ingest._TEXT_BLOCK_LINES + 7)]
+    return write_text_trace(records).split("\n")
+
+
+_EDGES = {
+    "first line": lambda n, block: 0,
+    "end of block 1": lambda n, block: block - 1,
+    "start of block 2": lambda n, block: block,
+    "last line": lambda n, block: n - 2,
+}
+
+
+@pytest.mark.parametrize("bad", [
+    _replaced('"csi":[[12,-3]', '"csi":[[012,-3]'),
+    _replaced('[-128,127]', '[-129,127]'),
+    _replaced('"n_rx":2', '"n_rx":4'),
+    _replaced('"rssi":[40,41,0]', '"rssi":[40,41,7]'),
+])
+@pytest.mark.parametrize("edge", list(_EDGES))
+def test_rejected_line_at_a_block_edge_matches_reference(edge, bad):
+    lines = _long_trace()
+    at = _EDGES[edge](len(lines), ingest._TEXT_BLOCK_LINES)
+    lines[at] = bad
+    assert _assert_same_outcome("\n".join(lines))[:2] == (SchemaError, at + 1)
+
+
+def test_first_of_two_rejected_lines_in_two_blocks_is_reported():
+    lines = _long_trace()
+    block = ingest._TEXT_BLOCK_LINES
+    lines[block + 3] = _replaced('"agc":28', '"agc":028')
+    lines[2 * block + 1] = _LINE[:-1]
+    assert _assert_same_outcome("\n".join(lines))[:2] == (SchemaError, block + 4)
+    lines[block - 2] = _replaced('"noise":-92', '"noise":-129')
+    assert _assert_same_outcome("\n".join(lines))[:2] == (SchemaError, block - 1)
+
+
+def test_blank_and_non_canonical_lines_mid_block_match_reference():
+    lines = _long_trace()
+    block = ingest._TEXT_BLOCK_LINES
+    lines[10] = " \t "
+    lines[block + 5] = json.dumps(json.loads(lines[block + 5]))
+    status, records = _assert_same_outcome("\n".join(lines))
+    assert status == "ok" and len(records) == len(lines) - 2
+    lines[block + 20] = _replaced('"csi":[[12,-3]', '"csi":[[12,-3,]')
+    assert _assert_same_outcome("\n".join(lines))[:2] == (SchemaError, block + 21)
 
 
 # --- one-pass validation in the writers --------------------------------------
