@@ -125,8 +125,7 @@ def closed_loop(
     config = initial
     steps: list[LoopStep] = []
     for iteration in range(settings.max_iters):
-        records = simulate_capture(config, distortion)
-        stats = variation_stats(records, consts)
+        stats = variation_stats(simulate_capture(config, distortion), consts)
         est = estimate_losses(stats.port_power_mean_dbm, config.tx_power_dbm)
         verdict = classify(stats, est, thresholds, consts)
         if verdict.cls == "Reliable":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import CalibrationConstants, N_SUBCARRIERS, RawCsiRecord
+from .ingest import CalibrationConstants, Capture, N_SUBCARRIERS
 from .powercalib import check_ratio_consistency
 from .quality import (
     QualityThresholds,
@@ -154,16 +154,18 @@ def _unit_channel(config: SimConfig) -> np.ndarray:
 
 def simulate_capture(
     config: SimConfig, distortion: PhaseDistortion | None = None
-) -> list[RawCsiRecord]:
-    """Produce a deterministic capture of records for the configured chain.
+) -> Capture:
+    """Produce a deterministic capture of the configured chain.
 
     The output is a function of the seed through one fixed draw order, which
     the golden digests in tests/test_chipsim_reference.py pin: per packet,
     the phase jitter (only when pdd_jitter_deg is set), then the real parts
     of the (n_rx, 30) noise, then the imaginary parts.  Noise is drawn even
     when noise_floor_dbm is None.  The whole capture is computed as
-    (T, n_rx, 30) arrays; each record's csi is a view into them.  Values
-    whose arithmetic leaves the float range raise ConfigError.
+    (T, n_rx, 30) arrays, and the Capture's columns are those arrays: its
+    csi is a view of the counts, and no record is built until one is
+    indexed.  Values whose arithmetic leaves the float range raise
+    ConfigError.
     """
     config.validate()
     try:
@@ -173,7 +175,7 @@ def simulate_capture(
         raise ConfigError(f"the simulated chain leaves the float range ({exc})") from exc
 
 
-def _simulate(config: SimConfig, distortion: PhaseDistortion) -> list[RawCsiRecord]:
+def _simulate(config: SimConfig, distortion: PhaseDistortion) -> Capture:
     rng = np.random.default_rng(config.seed)
     n_rx = len(config.attenuation_db)
     n_packets = config.n_packets
@@ -217,13 +219,16 @@ def _simulate(config: SimConfig, distortion: PhaseDistortion) -> list[RawCsiReco
     p_meas = np.log10(power.sum(axis=2))  # (T, n_rx)
     p_meas *= 10.0
     del power
-    agc = [
-        int(min(max(round(config.adc_target_dbm - m), config.agc_min_db), config.agc_max_db))
-        for m in p_meas.max(axis=1).tolist()
-    ]
-    y *= np.array([kappa * 10.0 ** (a / 20.0) for a in agc])[:, None, None]
+    # np.round rounds half to even, as round() does.
+    agc = np.round(config.adc_target_dbm - p_meas.max(axis=1))
+    np.clip(agc, config.agc_min_db, config.agc_max_db, out=agc)
+    agc = agc.astype(np.int64)
+    # The gain of each AGC value in Python arithmetic, once per value.
+    agc_values = agc.tolist()
+    gain = {a: kappa * 10.0 ** (a / 20.0) for a in set(agc_values)}
+    y *= np.array([gain[a] for a in agc_values])[:, None, None]
 
-    readout = p_meas + np.array(agc, dtype=np.float64)[:, None]
+    readout = p_meas + agc[:, None]
     readout += config.c_fixed_db
     if config.quantize:
         re = np.round(y.real)
@@ -239,24 +244,18 @@ def _simulate(config: SimConfig, distortion: PhaseDistortion) -> list[RawCsiReco
     else:
         # Calibration squares and sums the counts: overflow raises here.
         np.square(np.abs(y)).sum(axis=(1, 2))
-    pad = (0,) * (3 - n_rx)
-    rssi = [tuple(row) + pad for row in readout.tolist()]
 
-    return [
-        RawCsiRecord(
-            timestamp_low=(i * 1024) & 0xFFFFFFFF,
-            bfee_count=i & 0xFFFF,
-            n_rx=n_rx,
-            n_tx=1,
-            rssi=rssi[i],
-            noise=-92,
-            agc=agc[i],
-            antenna_perm=(0, 1, 2),
-            rate_flags=0x0100,
-            csi=counts.T[:, :, None],  # (K, n_rx, 1)
-        )
-        for i, counts in enumerate(y)
-    ]
+    i = np.arange(n_packets)
+    return Capture(
+        timestamp_low=(i * 1024) & 0xFFFFFFFF,
+        bfee_count=i & 0xFFFF,
+        rssi=np.pad(readout, ((0, 0), (0, 3 - n_rx))),
+        noise=np.full(n_packets, -92),
+        agc=agc,
+        antenna_perm=np.tile([0, 1, 2], (n_packets, 1)),
+        rate_flags=np.full(n_packets, 0x0100),
+        csi=y.transpose(0, 2, 1)[..., None],  # (T, K, n_rx, 1)
+    )
 
 
 @dataclass
@@ -293,13 +292,14 @@ def run_sweep(
     results = []
     for config in configs:
         consts = config.calibration_constants()
-        records = simulate_capture(config, distortion)
-        stats = variation_stats(records, consts)
+        capture = simulate_capture(config, distortion)
+        stats = variation_stats(capture, consts)
+        ratios = check_ratio_consistency(capture)
+        del capture  # released before the next one is simulated, to lower peak memory
         verdict = classify(stats, config.attenuation_db, thresholds, consts)
 
         ratio_max = {pr.label: float(np.nanmax(np.abs(pr.discrepancy_db)))
-                     for pr in check_ratio_consistency(records)
-                     if not np.isnan(pr.discrepancy_db).all()}
+                     for pr in ratios if not np.isnan(pr.discrepancy_db).all()}
 
         deviation = stats.port_power_mean_dbm - (
             config.tx_power_dbm - np.array(config.attenuation_db))

@@ -11,11 +11,12 @@ docs/FORMATS.md).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -167,9 +168,50 @@ def _validate_csi(csi: np.ndarray) -> None:
         raise InvariantViolation("csi components must lie in [-128, 127]")
 
 
-#: Records stacked at a time by _validated_groups (so by both writers),
-#: powercalib.calibrate and phase.differential_series; bounds the copy each
-#: holds.  parse_text_trace reads _TEXT_BLOCK_LINES lines at a time instead.
+@dataclass(frozen=True, eq=False)
+class Capture:
+    """A capture of one (n_rx, n_tx) layout held as columns, one row per record.
+
+    csi is (T, 30, n_rx, n_tx), rssi and antenna_perm are (T, 3) and every
+    other header field is (T,).  A Capture is a sequence of RawCsiRecord
+    row views: capture[t] holds Python-number header values and a view of
+    csi[t], capture[a:b] is a Capture of column views, and list(capture)
+    gives a mutable list of records.  rssi is float only where the records'
+    readouts are (the simulator with quantize off); the row view reads the
+    ports past n_rx as the int 0 they must be.
+    """
+
+    timestamp_low: np.ndarray
+    bfee_count: np.ndarray
+    rssi: np.ndarray
+    noise: np.ndarray
+    agc: np.ndarray
+    antenna_perm: np.ndarray
+    rate_flags: np.ndarray
+    csi: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.csi)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return replace(self, **{f.name: getattr(self, f.name)[t] for f in fields(self)})
+        t = range(len(self))[t]  # raises IndexError past either end
+        return next(iter(self[t : t + 1]))
+
+    def __iter__(self):
+        _, _, n_rx, n_tx = self.csi.shape
+        header = [getattr(self, f.name).tolist() for f in fields(self)[:-1]]
+        for stamp, count, rssi, noise, agc, perm, flags, csi in zip(*header, self.csi):
+            yield RawCsiRecord(stamp, count, n_rx, n_tx, (*rssi[:n_rx], *map(int, rssi[n_rx:])),
+                               noise, agc, tuple(perm), flags, csi=csi)
+
+
+#: Records stacked at a time by _validated_groups (so by both writers) and
+#: by capture_blocks (so by powercalib.calibrate and check_ratio_consistency,
+#: phase.differential_series and quality.variation_stats) when a capture is
+#: a list of records; bounds the copy each holds.  parse_text_trace reads
+#: _TEXT_BLOCK_LINES lines at a time instead.
 _STACK_RECORDS = 256
 
 
@@ -201,26 +243,48 @@ def _validated_groups(records: list[RawCsiRecord], layout):
         raise
 
 
-def common_n_rx(records: list[RawCsiRecord]) -> int:
+def common_n_rx(records: Capture | list[RawCsiRecord]) -> int:
     """The n_rx of a non-empty capture whose records all carry the same ports.
 
     Raises MixedLayout naming the first record whose n_rx differs from
     record 0's.
     """
     n_rx = records[0].n_rx
-    for t, r in enumerate(records):
-        if r.n_rx != n_rx:
-            raise MixedLayout(f"record {t} has n_rx={r.n_rx}, record 0 has n_rx={n_rx}")
+    for run in layout_runs(records)[1:]:  # a record of another n_rx starts a run
+        if records[run.start].n_rx != n_rx:
+            raise MixedLayout(f"record {run.start} has n_rx={records[run.start].n_rx}, "
+                              f"record 0 has n_rx={n_rx}")
     return n_rx
 
 
-def layout_runs(records: list[RawCsiRecord]) -> list[slice]:
+def layout_runs(records: Capture | list[RawCsiRecord]) -> list[slice]:
     """A slice for each run of consecutive records of one (n_rx, n_tx).
 
-    The records of one run have csi of one shape, so they stack.
+    The records of one run have csi of one shape, so they stack.  A
+    non-empty Capture is one run.
     """
+    if isinstance(records, Capture):
+        return [slice(0, len(records))] if len(records) else []
     starts = [t for t, r in enumerate(records) if t == 0 or r.csi.shape != records[t - 1].csi.shape]
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(records)])]
+
+
+def capture_blocks(records: Capture | list[RawCsiRecord], *names: str):
+    """Yield (part, *columns): a slice of the capture and those Capture columns of it.
+
+    The one way the analysis reads a capture: names are Capture fields, and
+    each block's records share one layout.  A Capture is its own one block,
+    and its columns are given as they are, with no copy.  A list of records
+    gives each layout run stacked at most _STACK_RECORDS records at a time,
+    so only one such stack is held.
+    """
+    for run in layout_runs(records):
+        if isinstance(records, Capture):  # one run, the whole capture
+            yield run, *(getattr(records, name) for name in names)
+            continue
+        for start in range(run.start, run.stop, _STACK_RECORDS):
+            part = slice(start, min(start + _STACK_RECORDS, run.stop))
+            yield part, *(np.array([getattr(r, name) for r in records[part]]) for name in names)
 
 
 # --- binary format -----------------------------------------------------------
@@ -360,8 +424,9 @@ def parse_binary_trace(data: bytes) -> list[RawCsiRecord]:
     return [RawCsiRecord(*header, csi=c) for header, c in zip(headers, csi)]
 
 
-def encode_binary_trace(records: list[RawCsiRecord]) -> bytes:
+def encode_binary_trace(records: Capture | list[RawCsiRecord]) -> bytes:
     """Exact inverse of parse_binary_trace at the record level."""
+    records = list(records)  # a Capture's row views, built once
     payloads: list[np.ndarray] = [None] * len(records)
     groups = _validated_groups(
         records, lambda r: (r.n_rx, r.n_tx, tuple(r.antenna_perm[: r.n_rx])))
@@ -420,8 +485,9 @@ def _line_template(n_rx: int, n_tx: int) -> str:
             '"csi":[' + pairs + ']}\n')
 
 
-def write_text_trace(records: list[RawCsiRecord]) -> str:
+def write_text_trace(records: Capture | list[RawCsiRecord]) -> str:
     """Serialize records to the canonical JSON-lines text format."""
+    records = list(records)  # a Capture's row views, built once
     lines: list[str] = [""] * len(records)
     for layout, index, csi in _validated_groups(records, lambda r: (r.n_rx, r.n_tx)):
         template = _line_template(*layout)
@@ -622,14 +688,32 @@ def _from_json_line(line: str, lineno: int) -> RawCsiRecord | None:
     return record
 
 
+def _line_blocks(text: str):
+    """Yield (number of its first line, lines) for each _TEXT_BLOCK_LINES lines.
+
+    The lines are those of split_lines, cut from text one block at a time,
+    so no second copy of a whole trace is held.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    start = 0
+    for lineno in itertools.count(1, _TEXT_BLOCK_LINES):
+        end = start
+        for _ in range(_TEXT_BLOCK_LINES):
+            end = text.find("\n", end) + 1
+            if not end:  # the last block
+                yield lineno, text[start:].split("\n")
+                return
+        yield lineno, text[start : end - 1].split("\n")
+        start = end
+
+
 def split_lines(text: str) -> list[str]:
     """The lines of a text trace, broken only at \\n, \\r\\n and \\r.
 
     Unlike str.splitlines, which also breaks at \\f, \\x85, U+2028 and more.
     """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
+    return [line for _, lines in _line_blocks(text) for line in lines]
 
 
 def parse_text_trace(text: str) -> list[RawCsiRecord]:
@@ -644,14 +728,12 @@ def parse_text_trace(text: str) -> list[RawCsiRecord]:
     which raises every error.  So the first faulty line raises, with the
     error it would raise if every line were read with json.loads.
     """
-    lines = split_lines(text)
     records = []
-    for start in range(0, len(lines), _TEXT_BLOCK_LINES):
-        block = lines[start : start + _TEXT_BLOCK_LINES]
+    for first, block in _line_blocks(text):
         parsed = _from_canonical_block(block)
         if parsed is None:
             parsed = []
-            for lineno, line in enumerate(block, start=start + 1):
+            for lineno, line in enumerate(block, start=first):
                 one = _from_canonical_block([line])
                 if one is None:
                     record = _from_json_line(line, lineno)

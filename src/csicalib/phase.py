@@ -16,7 +16,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import AbsentPort
-from .ingest import _STACK_RECORDS, N_SUBCARRIERS, RawCsiRecord
+from .ingest import N_SUBCARRIERS, Capture, RawCsiRecord, capture_blocks, layout_runs
 from .powercalib import pair_label
 
 
@@ -50,16 +50,15 @@ class DifferentialPhaseSeries:
 
 
 def differential_series(
-    records: list[RawCsiRecord], pairs: tuple
+    records: Capture | list[RawCsiRecord], pairs: tuple
 ) -> DifferentialPhaseSeries | list[DifferentialPhaseSeries]:
     """Differential phase of every record on the first transmit stream.
 
     pairs is one ordered port pair (i, j), which gives one series, or a
     tuple of pairs, as canonical_pairs returns, which gives a list of
     series in that order, each equal to its one-pair call's.  The capture
-    is read once for all pairs: each record's first-stream CSI is stacked,
-    and each port's angles and unmeasurable entries are found, once per
-    call.
+    is read once for all pairs: each port's angles and unmeasurable
+    entries are found once per call.
 
     A record where either port of a pair reads absent (RSSI 0) has no
     pair phase: its whole row is NaN, as a zero CSI entry is.  A pair port
@@ -70,27 +69,23 @@ def differential_series(
         return []
     if isinstance(pairs[0], Integral):
         return differential_series(records, (pairs,))[0]
-    n_rx = np.array([r.n_rx for r in records], dtype=int)
+    # Every record of a layout run has the n_rx of its first.
+    n_rx = [records[run.start].n_rx for run in layout_runs(records)]
     for pair in pairs:
-        short = np.flatnonzero(n_rx <= max(pair))
-        if short.size:
-            n = n_rx[short[0]]
+        n = next((n for n in n_rx if n <= max(pair)), None)
+        if n is not None:
             raise AbsentPort(f"port {next(p for p in pair if p >= n) + 1} absent")
     # Each port's angles in degrees, and where it has no phase: at a zero
     # entry, or anywhere in a record where it reads absent.  Every record
-    # has the ports below m.  At most _STACK_RECORDS records are stacked at
-    # a time, as in calibrate: stacking a whole capture at once raised the
-    # peak memory of the commands that call this.
+    # has the ports below m.
     m = 1 + max(max(pair) for pair in pairs)
     angle = np.empty((len(records), N_SUBCARRIERS, m))
     unmeasurable = np.empty(angle.shape, dtype=bool)
-    for start in range(0, len(records), _STACK_RECORDS):
-        part = slice(start, start + _STACK_RECORDS)
-        csi = np.array([r.csi[:, :m, 0] for r in records[part]])
+    for part, rssi, csi in capture_blocks(records, "rssi", "csi"):
+        csi = csi[:, :, :m, 0]
         np.arctan2(csi.imag, csi.real, out=angle[part])  # np.angle(csi)
         np.equal(csi, 0, out=unmeasurable[part])
-        absent = np.array([r.rssi[:m] for r in records[part]]) == 0
-        unmeasurable[part] |= absent[:, None, :]
+        unmeasurable[part] |= rssi[:, None, :m] == 0
     np.degrees(angle, out=angle)
     series = []
     for pair in pairs:

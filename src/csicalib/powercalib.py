@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import _STACK_RECORDS, CalibrationConstants, RawCsiRecord, common_n_rx, layout_runs
+from .ingest import CalibrationConstants, Capture, RawCsiRecord, capture_blocks, common_n_rx
 
 #: Canonical unordered port pairs, reported numerator-first (2/1, 3/2, 1/3).
 PORT_PAIRS_3 = ((1, 0), (2, 1), (0, 2))
@@ -89,7 +89,7 @@ class PairRatio:
         return pair_label(self.pair)
 
 
-def check_ratio_consistency(records: list[RawCsiRecord]) -> list[PairRatio]:
+def check_ratio_consistency(records: Capture | list[RawCsiRecord]) -> list[PairRatio]:
     """Report the RSSI vs CSI power-ratio agreement for each canonical pair.
 
     Reporting only: a large discrepancy never raises.  In a record where a
@@ -107,16 +107,16 @@ def check_ratio_consistency(records: list[RawCsiRecord]) -> list[PairRatio]:
     # so its bits.  Each square is re*re + im*im, as in calibrate: exact on
     # integer CSI, where |csi|**2 is not.
     power = np.empty((len(records), n_rx))
-    for run in layout_runs(records):
-        csi = np.array([r.csi for r in records[run]])  # (T_run, K, n_rx, n_tx)
-        sq = csi.real * csi.real
+    rssi = np.empty((len(records), n_rx))
+    for part, block_rssi, csi in capture_blocks(records, "rssi", "csi"):
+        csi = csi.transpose(0, 2, 1, 3)
+        sq = np.multiply(csi.real, csi.real, order="C")
         sq += csi.imag * csi.imag
-        rows = np.ascontiguousarray(sq.transpose(0, 2, 1, 3)).reshape(len(sq), n_rx, -1)
-        power[run] = rows.sum(axis=2)
+        power[part] = sq.reshape(len(sq), n_rx, -1).sum(axis=2)
+        rssi[part] = block_rssi[:, :n_rx]
     # math.log10, whose bits do not depend on the platform's SIMD loops.
     log_power = np.array([math.log10(s) if s else math.nan for s in power.ravel().tolist()])
     log_power = log_power.reshape(power.shape)
-    rssi = np.array([r.rssi[:n_rx] for r in records], dtype=float)
     rssi[rssi == 0] = math.nan  # an absent port: no ratio of either kind
     log_power[np.isnan(rssi)] = math.nan
     results = []
@@ -129,15 +129,17 @@ def check_ratio_consistency(records: list[RawCsiRecord]) -> list[PairRatio]:
     return results
 
 
-def calibrate(records: RawCsiRecord | list, consts: CalibrationConstants) -> CalibratedFrame:
+def calibrate(records: RawCsiRecord | Capture | list,
+              consts: CalibrationConstants) -> CalibratedFrame:
     """Restore absolute per-port power and per-subcarrier amplitude in dBm.
 
-    records is one record, or a capture: a non-empty list of records of
-    one n_rx and n_tx, such as one run of layout_runs.  A capture's frame
-    gives every field a leading T axis (see CalibratedFrame), and its row t
-    equals the frame of record t alone.  A record with no reading, every
-    port absent or zero CSI on every present port, calibrates to NaN as an
-    absent port and a zero CSI entry do; it never raises.
+    records is one record, or a capture of one n_rx and n_tx: a Capture,
+    or a non-empty list of records such as one run of layout_runs.  A
+    capture's frame gives every field a leading T axis (see
+    CalibratedFrame), and its row t equals the frame of record t alone.  A
+    record with no reading, every port absent or zero CSI on every present
+    port, calibrates to NaN as an absent port and a zero CSI entry do; it
+    never raises.
 
     Integer CSI, which every trace holds, calibrates exactly: each squared
     magnitude, and each record's sum of them, is exact in any order.  Float
@@ -149,26 +151,39 @@ def calibrate(records: RawCsiRecord | list, consts: CalibrationConstants) -> Cal
         f = calibrate([records], consts)
         return CalibratedFrame(tuple(f.port_power_dbm[0].tolist()), f.total_power_dbm.item(),
                                f.rho.item(), f.amplitude_dbm[0])
-    port_power = np.array([[rssi_to_dbm(rssi, r.agc, consts) for rssi in r.rssi[: r.n_rx]]
-                           for r in records])
-    p_total = [total_power(row) for row in port_power.tolist()]
-    amplitude = np.empty((len(records), *records[0].csi.shape))
+    shape = records[0].csi.shape
+    n_rx = shape[1]
+    port_power = np.empty((len(records), n_rx))
+    p_total = np.empty(len(records))
     rho = np.empty(len(records))
-    for start in range(0, len(records), _STACK_RECORDS):
-        part = slice(start, start + _STACK_RECORDS)
-        csi = np.stack([r.csi for r in records[part]])
+    amplitude = np.empty((len(records), *shape))
+    for part, rssi, agc, csi in capture_blocks(records, "rssi", "agc", "csi"):
+        if csi.shape[1:] != shape:
+            raise ValueError("a capture's csi must have the same shape in every record")
+        # rssi_to_dbm's arithmetic, on arrays: the same bits.
+        rssi = rssi[:, :n_rx]
+        power = port_power[part]
+        np.subtract(rssi - agc[:, None], consts.c_fixed, out=power)
+        power[rssi == 0] = np.nan  # an absent port has no power
+        # total_power's Python arithmetic, once per distinct row of port
+        # powers; a row with NaN is a key of its own, and is still found.
+        rows = list(map(tuple, power.tolist()))
+        distinct = {row: total_power(row) for row in set(rows)}
+        p_total[part] = [distinct[row] for row in rows]
+        linear = np.array([10.0 ** (p / 10.0) for p in p_total[part].tolist()])
+
         sq = amplitude[part]  # |csi|^2, then the amplitude, in place
-        np.add(csi.real * csi.real, csi.imag * csi.imag, out=sq)
-        # An absent port has no amplitude.
-        sq.transpose(0, 2, 1, 3)[np.isnan(port_power[part])] = 0.0
-        denom = sq.reshape(len(sq), -1).sum(axis=1).tolist()
-        rho[part] = [10.0 ** (p / 10.0) / d if d else math.nan
-                     for p, d in zip(p_total[part], denom)]
+        np.multiply(csi.real, csi.real, out=sq)
+        sq += csi.imag * csi.imag
+        sq.transpose(0, 2, 1, 3)[np.isnan(power)] = 0.0  # an absent port has no amplitude
+        denom = sq.reshape(len(sq), -1).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho[part] = np.where(denom != 0, linear / denom, np.nan)
         sq[sq == 0.0] = np.nan  # unmeasurable, not -inf
         sq *= rho[part, None, None, None]
         np.log10(sq, out=sq)
         sq *= 10.0
-    return CalibratedFrame(port_power, np.array(p_total), rho, amplitude)
+    return CalibratedFrame(port_power, p_total, rho, amplitude)
 
 
 # --- serialization -----------------------------------------------------------

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InsufficientData
-from .ingest import N_SUBCARRIERS, CalibrationConstants, RawCsiRecord, common_n_rx, layout_runs
+from .ingest import (N_SUBCARRIERS, CalibrationConstants, Capture, RawCsiRecord, capture_blocks,
+                     common_n_rx)
 from .phase import circular_stats, differential_series
 from .powercalib import calibrate, canonical_pairs, pair_label
 
@@ -95,9 +96,14 @@ class QualityVerdict:
 
 
 def variation_stats(
-    records: list[RawCsiRecord], consts: CalibrationConstants
+    records: Capture | list[RawCsiRecord], consts: CalibrationConstants
 ) -> VariationStats:
-    """Amplitude/phase variation over a capture of a static channel."""
+    """Amplitude/phase variation over a capture of a static channel.
+
+    Calibrates the capture one block of capture_blocks at a time: a
+    Capture in one call, a list of records in parts of at most
+    _STACK_RECORDS.
+    """
     if len(records) < 2:
         raise InsufficientData("need at least two records")
     n_rx = common_n_rx(records)
@@ -112,11 +118,13 @@ def variation_stats(
     amp = np.empty((len(records), N_SUBCARRIERS, n_rx))
     power = np.empty((len(records), n_rx))
     no_reading = np.empty((n_rx, len(records)))
-    for run in layout_runs(records):
-        frame = calibrate(records[run], consts)
-        amp[run] = frame.amplitude_dbm[..., 0]
-        power[run] = frame.port_power_dbm
-        no_reading[:, run] = np.isnan(frame.amplitude_dbm).mean(axis=(1, 3)).T
+    agc = np.empty(len(records), dtype=np.int64)
+    for part, block_agc in capture_blocks(records, "agc"):
+        agc[part] = block_agc
+        frame = calibrate(records[part], consts)
+        amp[part] = frame.amplitude_dbm[..., 0]
+        power[part] = frame.port_power_dbm
+        no_reading[:, part] = np.isnan(frame.amplitude_dbm).mean(axis=(1, 3)).T
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         amp_mean = np.nanmean(amp, axis=0).T  # (n_rx, 30)
@@ -137,7 +145,7 @@ def variation_stats(
         phase_std_deg=np.array([s["std_deg"] for s in phase]).reshape(-1, N_SUBCARRIERS),
         zero_fraction=no_reading.mean(axis=1),
         pairs=pairs,
-        agc_readouts=tuple(int(r.agc) for r in records),
+        agc_readouts=tuple(agc.tolist()),
         port_power_mean_dbm=port_power,
         n_records=len(records),
     )

@@ -182,7 +182,7 @@ def test_calibrate_and_analyze_reject_mixed_rx_layout_alike(tmp_path, capsys):
 
 def test_calibrate_and_analyze_mask_an_absent_port_alike(tmp_path):
     config = SimConfig(attenuation_db=(33.0, 30.0, 36.0), n_packets=50, seed=0)
-    records = simulate_capture(config, REALISTIC_DISTORTION)
+    records = list(simulate_capture(config, REALISTIC_DISTORTION))
     records[17] = replace(records[17], rssi=(*records[17].rssi[:2], 0))
     trace = tmp_path / "absent.txt"
     trace.write_text(write_text_trace(records))
@@ -256,7 +256,7 @@ def test_calibrate_and_analyze_pass_a_record_with_no_reading(tmp_path, no_readin
     # Record 17 reads nothing: zero CSI on every port, or RSSI 0 on every
     # port.  It calibrates to NaN and neither command stops on it.
     config = SimConfig(attenuation_db=(33.0, 30.0, 36.0), n_packets=50, seed=0)
-    records = simulate_capture(config, REALISTIC_DISTORTION)
+    records = list(simulate_capture(config, REALISTIC_DISTORTION))
     assert all(np.all(r.csi != 0) for r in records)
     if no_reading == "zero_csi":
         records[17] = replace(records[17], csi=np.zeros_like(records[17].csi))

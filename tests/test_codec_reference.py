@@ -246,7 +246,7 @@ def test_mixed_layout_trace_matches_reference():
 
 def test_simulated_capture_matches_reference():
     config = SimConfig(attenuation_db=(33.0, 30.0, 62.0), n_packets=2000, seed=8)
-    records = simulate_capture(config, REALISTIC_DISTORTION)
+    records = list(simulate_capture(config, REALISTIC_DISTORTION))
     data = encode_binary_trace(records)
     assert data == _ref_encode_binary_trace(records)
     decoded = parse_binary_trace(data)

@@ -56,7 +56,7 @@ def outputs(tmp_path_factory):
     # entries, and whole rows of it in some records; records 7 and 23 read
     # port 1 absent and record 40 port 2: empty cells and unmeasurable rows.
     config = SimConfig(attenuation_db=(20.0, 30.0, 62.0), n_packets=100, seed=5)
-    records = simulate_capture(config, REALISTIC_DISTORTION)
+    records = list(simulate_capture(config, REALISTIC_DISTORTION))
     for t, port in ((7, 0), (23, 0), (40, 1)):
         rssi = list(records[t].rssi)
         rssi[port] = 0

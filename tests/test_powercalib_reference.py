@@ -115,8 +115,9 @@ def test_capture_matches_reference_bit_for_bit(captures, name, consts):
     else:
         assert runs == [slice(0, len(records))]
     if name in ("simulated", "parsed"):
-        # Simulated records hold transposed views, parsed ones C-contiguous
-        # arrays; either capture spans several stacks.
+        # A simulated capture is a Capture of transposed views, read as one
+        # block; a parsed one a list of C-contiguous arrays, read in several
+        # stacks.
         contiguous = {r.csi.flags.c_contiguous for r in records}
         assert contiguous == {name == "parsed"}
         assert len(records) > 2 * _STACK_RECORDS
