@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 
 from .ingest import (
     CalibrationConstants,
+    Capture,
     RawCsiRecord,
     csi_payload_len,
     encode_binary_trace,
@@ -59,6 +60,7 @@ from .autocontrol import (
 
 __all__ = [
     "CalibrationConstants",
+    "Capture",
     "RawCsiRecord",
     "csi_payload_len",
     "parse_binary_trace",

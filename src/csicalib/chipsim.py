@@ -163,8 +163,8 @@ def simulate_capture(
     of the (n_rx, 30) noise, then the imaginary parts.  Noise is drawn even
     when noise_floor_dbm is None.  The whole capture is computed as
     (T, n_rx, 30) arrays, and the Capture's columns are those arrays: its
-    csi is a view of the counts, and no record is built until one is
-    indexed.  Values whose arithmetic leaves the float range raise
+    one csi part is a view of the counts, and no record is built until one
+    is indexed.  Values whose arithmetic leaves the float range raise
     ConfigError.
     """
     config.validate()
@@ -254,7 +254,7 @@ def _simulate(config: SimConfig, distortion: PhaseDistortion) -> Capture:
         agc=agc,
         antenna_perm=np.tile([0, 1, 2], (n_packets, 1)),
         rate_flags=np.full(n_packets, 0x0100),
-        csi=y.transpose(0, 2, 1)[..., None],  # (T, K, n_rx, 1)
+        parts=(y.transpose(0, 2, 1)[..., None],),  # (T, K, n_rx, 1)
     )
 
 

@@ -207,8 +207,7 @@ def _read_trace(path: str):
 def _cmd_parse(args) -> None:
     in_path, out_path = Path(args.in_path), Path(args.out)
     if args.format == "binary":
-        records = parse_binary_trace(in_path.read_bytes())
-        out_path.write_text(write_text_trace(records))
+        out_path.write_text(write_text_trace(parse_binary_trace(in_path.read_bytes())))
     else:
         out_path.write_bytes(encode_binary_trace(_read_trace(args.in_path)))
 

@@ -11,12 +11,11 @@ docs/FORMATS.md).
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import re
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -97,18 +96,10 @@ class RawCsiRecord:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RawCsiRecord):
             return NotImplemented
-        return (
-            self.timestamp_low == other.timestamp_low
-            and self.bfee_count == other.bfee_count
-            and self.n_rx == other.n_rx
-            and self.n_tx == other.n_tx
-            and tuple(self.rssi) == tuple(other.rssi)
-            and self.noise == other.noise
-            and self.agc == other.agc
-            and tuple(self.antenna_perm) == tuple(other.antenna_perm)
-            and self.rate_flags == other.rate_flags
-            and np.array_equal(self.csi, other.csi)
-        )
+        return (all(getattr(self, name) == getattr(other, name) for name in _INT_FIELDS)
+                and tuple(self.rssi) == tuple(other.rssi)
+                and tuple(self.antenna_perm) == tuple(other.antenna_perm)
+                and np.array_equal(self.csi, other.csi))
 
     def present_ports(self) -> list[int]:
         """Ports with a non-zero RSSI readout (0 marks an absent port)."""
@@ -168,17 +159,27 @@ def _validate_csi(csi: np.ndarray) -> None:
         raise InvariantViolation("csi components must lie in [-128, 127]")
 
 
+#: The header columns of a Capture, in field order.
+_COLUMNS = ("timestamp_low", "bfee_count", "rssi", "noise", "agc", "antenna_perm", "rate_flags")
+
+
 @dataclass(frozen=True, eq=False)
 class Capture:
-    """A capture of one (n_rx, n_tx) layout held as columns, one row per record.
+    """A capture of any sequence of records, held as columns.
 
-    csi is (T, 30, n_rx, n_tx), rssi and antenna_perm are (T, 3) and every
-    other header field is (T,).  A Capture is a sequence of RawCsiRecord
-    row views: capture[t] holds Python-number header values and a view of
-    csi[t], capture[a:b] is a Capture of column views, and list(capture)
-    gives a mutable list of records.  rssi is float only where the records'
-    readouts are (the simulator with quantize off); the row view reads the
-    ports past n_rx as the int 0 they must be.
+    Each header column spans all T records: rssi and antenna_perm are
+    (T, 3), every other header field (T,).  The csi is held in parts, each
+    a run of consecutive records of one (n_rx, n_tx) layout: part i is
+    (B_i, 30, n_rx, n_tx), the B_i add up to T, and consecutive parts may
+    share a layout.  The parsers and the simulator return a Capture, and
+    as_capture turns a list of records into one.
+
+    A Capture is a sequence of RawCsiRecord row views: capture[t] holds
+    Python-number header values and a view of its csi, capture[a:b:c] is a
+    Capture of views, list(capture) gives a mutable list of records, and a
+    Capture equals a list of equal records, either way round.  rssi is
+    float only where the records' readouts are (the simulator with quantize
+    off); the row view reads the ports past n_rx as the int 0 they must be.
     """
 
     timestamp_low: np.ndarray
@@ -188,59 +189,82 @@ class Capture:
     agc: np.ndarray
     antenna_perm: np.ndarray
     rate_flags: np.ndarray
-    csi: np.ndarray
+    parts: tuple[np.ndarray, ...]
 
     def __len__(self) -> int:
-        return len(self.csi)
+        return len(self.agc)
 
     def __getitem__(self, t):
-        if isinstance(t, slice):
-            return replace(self, **{f.name: getattr(self, f.name)[t] for f in fields(self)})
-        t = range(len(self))[t]  # raises IndexError past either end
-        return next(iter(self[t : t + 1]))
+        if not isinstance(t, slice):
+            t = range(len(self))[t]  # raises IndexError past either end
+            return next(iter(self[t : t + 1]))
+        rows = np.arange(len(self))[t]
+        bounds = np.cumsum([0, *map(len, self.parts)])
+        part = np.searchsorted(bounds, rows, side="right") - 1  # the part of each row
+        parts = tuple(self.parts[part[a]][rows[a] - bounds[part[a]] :: t.step or 1][: b - a]
+                      for a, b in _runs(part[:, None]))
+        return replace(self, parts=parts, **{name: getattr(self, name)[t] for name in _COLUMNS})
 
     def __iter__(self):
-        _, _, n_rx, n_tx = self.csi.shape
-        header = [getattr(self, f.name).tolist() for f in fields(self)[:-1]]
-        for stamp, count, rssi, noise, agc, perm, flags, csi in zip(*header, self.csi):
-            yield RawCsiRecord(stamp, count, n_rx, n_tx, (*rssi[:n_rx], *map(int, rssi[n_rx:])),
-                               noise, agc, tuple(perm), flags, csi=csi)
+        header = zip(*(getattr(self, name).tolist() for name in _COLUMNS))
+        for part in self.parts:
+            _, _, n_rx, n_tx = part.shape
+            for csi, (stamp, count, rssi, noise, agc, perm, flags) in zip(part, header):
+                yield RawCsiRecord(stamp, count, n_rx, n_tx,
+                                   (*rssi[:n_rx], *map(int, rssi[n_rx:])),
+                                   noise, agc, tuple(perm), flags, csi=csi)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Capture, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def blocks(self):
+        """Yield (rows, csi) for each part: a slice of the records and their csi."""
+        start = 0
+        for csi in self.parts:
+            yield slice(start, start + len(csi)), csi
+            start += len(csi)
+
+    def layout(self) -> np.ndarray:
+        """Each record's (n_rx, n_tx), read from the parts: (T, 2)."""
+        layouts = np.array([csi.shape[2:] for csi in self.parts]).reshape(-1, 2)
+        return np.repeat(layouts, [len(csi) for csi in self.parts], axis=0)
 
 
-#: Records stacked at a time by _validated_groups (so by both writers) and
-#: by capture_blocks (so by powercalib.calibrate and check_ratio_consistency,
-#: phase.differential_series and quality.variation_stats) when a capture is
-#: a list of records; bounds the copy each holds.  parse_text_trace reads
-#: _TEXT_BLOCK_LINES lines at a time instead.
-_STACK_RECORDS = 256
+def _runs(layout: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each run of equal consecutive rows of a (T, k) array."""
+    starts = [0, *(np.flatnonzero((layout[1:] != layout[:-1]).any(axis=1)) + 1).tolist()]
+    return list(zip(starts, starts[1:] + [len(layout)]))[: len(layout)]  # none if T is 0
 
 
-def _validated_groups(records: list[RawCsiRecord], layout):
-    """Validate every record in one pass; yield its groups with their csi stacked.
+def _capture_of(h: np.ndarray, csi: np.ndarray) -> Capture:
+    """The Capture of (T, 13) header values h and of their records' csi, flat.
 
-    layout(record) is the group key, which must fix the csi shape.  Yields
-    (key, record indices, csi stacked along a new first axis) for at most
-    _STACK_RECORDS records of one group at a time, so only one such stack
-    is held.  The header checks run on every record before the first
-    yield; the CSI checks run once per stack.  On any fault every record
-    is validated in order, so the first faulty record raises the error its
-    validate() raises, even if stacks were already yielded.
+    The header has one column per value of a text line, in _TEXT_FIELDS
+    order (rssi and antenna_perm three each).  Each run of its records of
+    one layout is a part, a view of csi.
     """
-    try:
-        groups: dict[tuple, list[int]] = {}
-        for i, record in enumerate(records):
-            record._validate_header()
-            groups.setdefault(layout(record), []).append(i)
-        for key, index in groups.items():
-            for start in range(0, len(index), _STACK_RECORDS):
-                part = index[start : start + _STACK_RECORDS]
-                csi = np.stack([records[i].csi for i in part])
-                _validate_csi(csi)
-                yield key, part, csi
-    except Exception:  # whatever failed, validate() names the first faulty record
-        for record in records:
-            record.validate()
-        raise
+    layout = h[:, 2:4].tolist()
+    end = np.cumsum(N_SUBCARRIERS * h[:, 2] * h[:, 3]).tolist()
+    parts = tuple(csi[end[a - 1] if a else 0 : end[b - 1]].reshape(b - a, N_SUBCARRIERS, *layout[a])
+                  for a, b in _runs(h[:, 2:4]))
+    return Capture(h[:, 0], h[:, 1], h[:, 4:7], h[:, 7], h[:, 8], h[:, 9:12], h[:, 12], parts)
+
+
+def as_capture(records: Capture | list[RawCsiRecord]) -> Capture:
+    """records as a Capture: a Capture as it is, a list of records in columns.
+
+    The one place where a list of records, as users build one, becomes a
+    Capture.  Its header values are stacked into columns, and each record
+    is a part of its own, a view of its csi: no csi is copied, and the
+    analysis reads such a capture a record at a time.  Nothing is checked
+    here; the writers check what they write.
+    """
+    if isinstance(records, Capture):
+        return records
+    return Capture(*(np.array([getattr(r, name) for r in records]) for name in _COLUMNS),
+                   tuple(r.csi[None] for r in records))
 
 
 def common_n_rx(records: Capture | list[RawCsiRecord]) -> int:
@@ -249,42 +273,58 @@ def common_n_rx(records: Capture | list[RawCsiRecord]) -> int:
     Raises MixedLayout naming the first record whose n_rx differs from
     record 0's.
     """
-    n_rx = records[0].n_rx
-    for run in layout_runs(records)[1:]:  # a record of another n_rx starts a run
-        if records[run.start].n_rx != n_rx:
-            raise MixedLayout(f"record {run.start} has n_rx={records[run.start].n_rx}, "
-                              f"record 0 has n_rx={n_rx}")
-    return n_rx
+    n_rx = as_capture(records).layout()[:, 0]
+    t = np.argmax(n_rx != n_rx[0])  # the first record of another n_rx, if any
+    if n_rx[t] != n_rx[0]:
+        raise MixedLayout(f"record {t} has n_rx={n_rx[t]}, record 0 has n_rx={n_rx[0]}")
+    return int(n_rx[0])
 
 
 def layout_runs(records: Capture | list[RawCsiRecord]) -> list[slice]:
     """A slice for each run of consecutive records of one (n_rx, n_tx).
 
-    The records of one run have csi of one shape, so they stack.  A
-    non-empty Capture is one run.
+    The records of one run have csi of one shape, so they stack.
     """
-    if isinstance(records, Capture):
-        return [slice(0, len(records))] if len(records) else []
-    starts = [t for t, r in enumerate(records) if t == 0 or r.csi.shape != records[t - 1].csi.shape]
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(records)])]
+    return [slice(a, b) for a, b in _runs(as_capture(records).layout())]
 
 
-def capture_blocks(records: Capture | list[RawCsiRecord], *names: str):
-    """Yield (part, *columns): a slice of the capture and those Capture columns of it.
+def _checked(records: Capture | list[RawCsiRecord]):
+    """Yield the (T, 13) header of a capture of valid records, then its layouts.
 
-    The one way the analysis reads a capture: names are Capture fields, and
-    each block's records share one layout.  A Capture is its own one block,
-    and its columns are given as they are, with no copy.  A list of records
-    gives each layout run stacked at most _STACK_RECORDS records at a time,
-    so only one such stack is held.
+    The header has one column per value of a text line, in _TEXT_FIELDS
+    order (rssi and antenna_perm three each).  Then (n_rx, n_tx, rows, csi)
+    is yielded for each layout: the indices of its records, and their csi
+    stacked.  The records of a list pass _validate_header before they are
+    stacked, since their columns no longer show a value's Python type.  The
+    columns then pass the checks of validate() as arrays: every header at
+    once, the CSI one layout at a time.  On any fault every record is
+    validated in order, so the first faulty record raises the error its
+    validate() raises, even if layouts were already yielded.
     """
-    for run in layout_runs(records):
-        if isinstance(records, Capture):  # one run, the whole capture
-            yield run, *(getattr(records, name) for name in names)
-            continue
-        for start in range(run.start, run.stop, _STACK_RECORDS):
-            part = slice(start, min(start + _STACK_RECORDS, run.stop))
-            yield part, *(np.array([getattr(r, name) for r in records[part]]) for name in names)
+    try:
+        if not isinstance(records, Capture):
+            for record in records:
+                record._validate_header()
+        capture = as_capture(records)
+        layout = capture.layout()
+        header = np.column_stack([capture.timestamp_low, capture.bfee_count, layout, capture.rssi,
+                                  capture.noise, capture.agc, capture.antenna_perm,
+                                  capture.rate_flags]) if len(capture) else np.empty((0, 13), int)
+        if not (header.dtype.kind == "i" and _headers_valid(header)
+                and all(csi.shape[1] == N_SUBCARRIERS for csi in capture.parts)):
+            raise InvariantViolation("a record fails validate()")
+        yield header
+        parts: dict[tuple, list[np.ndarray]] = {}
+        for csi in capture.parts:
+            parts.setdefault(csi.shape[2:], []).append(csi)
+        for (n_rx, n_tx), same in parts.items():
+            csi = np.concatenate(same) if len(same) > 1 else same[0]
+            _validate_csi(csi)
+            yield n_rx, n_tx, np.flatnonzero((layout == (n_rx, n_tx)).all(axis=1)), csi
+    except Exception:  # whatever failed, validate() names the first faulty record
+        for record in records:
+            record.validate()
+        raise
 
 
 # --- binary format -----------------------------------------------------------
@@ -336,7 +376,10 @@ def _component_table(n_rx: int, n_tx: int, perm: tuple[int, ...]) -> tuple[np.nd
 
 def _unpack_group(view: np.ndarray, offsets: list[int], n_rx: int, n_tx: int,
                   perm: tuple[int, ...]) -> np.ndarray:
-    """CSI components of payloads at ``offsets``, int8 (G, 30, n_rx, n_tx, 2)."""
+    """CSI components of payloads at ``offsets``, int8 (G, 30 * n_rx * n_tx * 2).
+
+    Each row in the order of a (30, n_rx, n_tx, 2) array, as _component_table's.
+    """
     lo, shift = _component_table(n_rx, n_tx, perm)
     span = np.arange(csi_payload_len(n_rx, n_tx))
     payload = view[np.asarray(offsets)[:, None] + span].astype(np.uint16)
@@ -344,7 +387,7 @@ def _unpack_group(view: np.ndarray, offsets: list[int], n_rx: int, n_tx: int,
     word <<= 8
     word |= payload[:, lo]
     word >>= shift
-    return word.astype(np.uint8).view(np.int8).reshape(-1, N_SUBCARRIERS, n_rx, n_tx, 2)
+    return word.astype(np.uint8).view(np.int8)
 
 
 def _pack_group(components: np.ndarray, n_rx: int, n_tx: int,
@@ -363,8 +406,8 @@ def _pack_group(components: np.ndarray, n_rx: int, n_tx: int,
     return payload
 
 
-def parse_binary_trace(data: bytes) -> list[RawCsiRecord]:
-    """Decode a framed binary trace into records, skipping non-CSI frames.
+def parse_binary_trace(data: bytes) -> Capture:
+    """Decode a framed binary trace into a Capture, skipping non-CSI frames.
 
     Raises TruncatedRecord when a frame claims more bytes than remain,
     LengthMismatch when the declared CSI length disagrees with the layout,
@@ -372,7 +415,8 @@ def parse_binary_trace(data: bytes) -> list[RawCsiRecord]:
     InvariantViolation for an n_rx or n_tx out of range or a non-zero RSSI
     past n_rx (docs/FORMATS.md).  All frames are checked in one pass before
     any payload is decoded; the payloads of each (n_rx, n_tx) layout and
-    permutation are then decoded together.
+    permutation are then decoded together, into one array of every
+    record's csi of which each run of records of one layout is a part.
     """
     headers: list[tuple] = []
     # (n_rx, n_tx, antenna_perm[:n_rx]) -> (record indices, payload offsets)
@@ -405,53 +449,50 @@ def parse_binary_trace(data: bytes) -> list[RawCsiRecord]:
         perm = _VALID_PERMS.get((n_rx, antenna_sel))
         if perm is None:
             raise BadPermutation(f"antenna_sel 0x{antenna_sel:02x} for n_rx={n_rx}")
-        rssi = (rssi1, rssi2, rssi3)
-        if any(rssi[n_rx:]):
+        if any((rssi1, rssi2, rssi3)[n_rx:]):
             raise InvariantViolation("rssi of absent ports must be exactly 0")
         index, offsets = groups.setdefault((n_rx, n_tx, perm[:n_rx]), ([], []))
         index.append(len(headers))
         offsets.append(body + _HEADER_BYTES)
-        headers.append((timestamp_low, bfee_count, n_rx, n_tx, rssi,
-                        noise, agc, perm, rate_flags))
+        headers.append((timestamp_low, bfee_count, n_rx, n_tx, rssi1, rssi2, rssi3,
+                        noise, agc, *perm, rate_flags))
 
-    view = np.frombuffer(data, dtype=np.uint8)
-    csi: list[np.ndarray | None] = [None] * len(headers)
+    header = np.array(headers, dtype=np.int64).reshape(-1, 13)
+    # Each record's CSI components, in record order, at start in values.
+    size = 2 * N_SUBCARRIERS * header[:, 2] * header[:, 3]
+    start = np.cumsum(size) - size
+    values = np.empty(int(size.sum()))
     for layout, (index, offsets) in groups.items():
-        for i, components in zip(index, _unpack_group(view, offsets, *layout)):
-            c = np.empty(components.shape[:-1], dtype=np.complex128)
-            c.view(np.float64)[...] = components.reshape(c.shape[:-1] + (-1,))
-            csi[i] = c
-    return [RawCsiRecord(*header, csi=c) for header, c in zip(headers, csi)]
+        components = _unpack_group(np.frombuffer(data, np.uint8), offsets, *layout)
+        values[start[index, None] + np.arange(components.shape[1])] = components
+    return _capture_of(header, values.view(np.complex128))
 
 
 def encode_binary_trace(records: Capture | list[RawCsiRecord]) -> bytes:
-    """Exact inverse of parse_binary_trace at the record level."""
-    records = list(records)  # a Capture's row views, built once
-    payloads: list[np.ndarray] = [None] * len(records)
-    groups = _validated_groups(
-        records, lambda r: (r.n_rx, r.n_tx, tuple(r.antenna_perm[: r.n_rx])))
-    for layout, index, csi in groups:
-        components = np.empty(csi.shape + (2,), dtype=np.int8)
-        components[..., 0] = csi.real
-        components[..., 1] = csi.imag
-        for i, payload in zip(index, _pack_group(components, *layout)):
-            payloads[i] = payload
+    """Exact inverse of parse_binary_trace at the record level.
 
-    out = np.zeros(sum(3 + _HEADER_BYTES + p.size for p in payloads), dtype=np.uint8)
-    start = 0
-    for record, payload in zip(records, payloads):
-        perm = record.antenna_perm
-        frame_len = 1 + _HEADER_BYTES + payload.size
+    The payloads of each (n_rx, n_tx) layout and permutation are packed
+    together, then placed in the frames of their records.
+    """
+    checked = _checked(records)
+    header = next(checked)
+    size = csi_payload_len(header[:, 2], header[:, 3])
+    start = np.cumsum(3 + _HEADER_BYTES + size) - size  # of each payload
+    out = np.zeros(int((3 + _HEADER_BYTES + size).sum()), dtype=np.uint8)
+    for at, payload_len, h in zip(start.tolist(), size.tolist(), header.tolist()):
+        frame_len = 1 + _HEADER_BYTES + payload_len
         _FRAME_AND_HEADER.pack_into(
-            out, start, frame_len >> 8, frame_len & 0xFF, CSI_RECORD_CODE,
-            record.timestamp_low, record.bfee_count, record.n_rx, record.n_tx,
-            *record.rssi, record.noise, record.agc,
-            perm[0] | (perm[1] << 2) | (perm[2] << 4),
-            payload.size, record.rate_flags,
-        )
-        start += 3 + _HEADER_BYTES
-        out[start : start + payload.size] = payload
-        start += payload.size
+            out, at - 3 - _HEADER_BYTES, frame_len >> 8, frame_len & 0xFF, CSI_RECORD_CODE,
+            *h[:9], h[9] | (h[10] << 2) | (h[11] << 4), payload_len, h[12])
+    for n_rx, n_tx, rows, csi in checked:
+        components = np.stack([csi.real, csi.imag], axis=-1).astype(np.int8)
+        # antenna_sel of the first n_rx entries of antenna_perm: the key of one packing.
+        sel = header[rows, 9] | header[rows, 10] << 2 | header[rows, 11] << 4
+        prefix = sel & ((1 << 2 * n_rx) - 1)
+        for code in set(prefix.tolist()):
+            group = prefix == code
+            payload = _pack_group(components[group], n_rx, n_tx, _decode_perm(code)[:n_rx])
+            out[start[rows[group], None] + np.arange(payload.shape[1])] = payload
     return out.tobytes()
 
 
@@ -485,28 +526,34 @@ def _line_template(n_rx: int, n_tx: int) -> str:
             '"csi":[' + pairs + ']}\n')
 
 
-def write_text_trace(records: Capture | list[RawCsiRecord]) -> str:
-    """Serialize records to the canonical JSON-lines text format."""
-    records = list(records)  # a Capture's row views, built once
-    lines: list[str] = [""] * len(records)
-    for layout, index, csi in _validated_groups(records, lambda r: (r.n_rx, r.n_tx)):
-        template = _line_template(*layout)
-        # csi[k, port, t] as (re, im) pairs, subcarrier-major: one row per record.
-        rows = np.asarray(csi, dtype=np.complex128).view(np.float64)
-        for i, row in zip(index, rows.reshape(len(index), -1).astype(np.int64).tolist()):
-            r = records[i]
-            lines[i] = template % (r.timestamp_low, r.bfee_count, r.n_rx, r.n_tx, *r.rssi,
-                                   r.noise, r.agc, *r.antenna_perm, r.rate_flags, *row)
-    return "".join(lines)
-
-
-#: Lines read at a time by parse_text_trace.  Its own bound, not
-#: _STACK_RECORDS: a block's CSI text is held several times over, as
-#: bytes and as byte masks, while it is checked.  Reading a 2000-line trace
-#: 256 lines at a time raised the parse's traced peak memory by 0.4-0.7
-#: MiB over reading one line at a time; 64 lines at a time, as fast, by
-#: about 0.1 MiB.
+#: Lines read at a time by parse_text_trace, and written at a time by
+#: write_text_trace.  A block's CSI text is held several times over while
+#: it is read, as bytes and as byte masks, and its values as Python ints
+#: while it is written.  Reading a 2000-line trace 256 lines at a time
+#: raised the parse's traced peak memory by 0.4-0.7 MiB over reading one
+#: line at a time; 64 lines at a time, as fast, by about 0.1 MiB.
 _TEXT_BLOCK_LINES = 64
+
+
+def write_text_trace(records: Capture | list[RawCsiRecord]) -> str:
+    """Serialize a capture to the canonical JSON-lines text format.
+
+    Each layout's lines are formatted _TEXT_BLOCK_LINES at a time from the
+    capture's columns.
+    """
+    checked = _checked(records)
+    header = next(checked)
+    lines: dict[int, str] = {}
+    for n_rx, n_tx, rows, csi in checked:
+        template = _line_template(n_rx, n_tx)
+        for a in range(0, len(rows), _TEXT_BLOCK_LINES):
+            block = rows[a : a + _TEXT_BLOCK_LINES]
+            # csi[k, port, t] as (re, im) pairs, subcarrier-major: one row per record.
+            values = np.ascontiguousarray(csi[a : a + len(block)], dtype=np.complex128)
+            values = values.view(np.float64).reshape(len(block), -1).astype(np.int64)
+            for i, h, v in zip(block.tolist(), header[block].tolist(), values.tolist()):
+                lines[i] = template % (*h, *v)
+    return "".join([lines[i] for i in range(len(header))])
 
 
 @functools.lru_cache(maxsize=None)
@@ -579,10 +626,11 @@ def _headers_valid(h: np.ndarray) -> bool:
     return bool((np.bitwise_or.reduce(bits, axis=1) == (1 << n_rx[:, 0]) - 1).all())
 
 
-def _from_canonical_block(lines: list[str]) -> list[RawCsiRecord] | None:
-    """The records of lines in write_text_trace's form, skipping empty lines.
+def _from_canonical_block(lines: list[str]) -> Capture | None:
+    """The Capture of lines in write_text_trace's form.
 
-    None if any other line is not in that form, or if any check fails.
+    Empty lines are skipped.  None if any other line is not in that form,
+    or if any check fails.
     Per line, the head regular expression reads the header values and one
     bytes.translate checks where the brackets and commas of the CSI body
     lie.  Once for all lines, an array of the header values passes every
@@ -607,7 +655,7 @@ def _from_canonical_block(lines: list[str]) -> list[RawCsiRecord] | None:
         headers.append(header)
         bodies.append(body)
     if not headers:
-        return []
+        return _capture_of(np.empty((0, 13), dtype=np.int64), np.empty(0, np.complex128))
     # Each body is now numbers, if any, between ',' and '],[' in the canonical
     # order.  With every '],[' made ',' and a ',' at each end, the bodies
     # are well-formed exactly when the result is ',' + numbers joined by
@@ -615,8 +663,8 @@ def _from_canonical_block(lines: list[str]) -> list[RawCsiRecord] | None:
     # a number, breaks that.
     numbers = b",".join([b"", *bodies, b""]).replace(b"],[", b",")
     del bodies
-    if not (_headers_valid(np.array(headers, dtype=np.int64))
-            and _csi_numbers_valid(numbers)):
+    header = np.array(headers, dtype=np.int64)
+    if not (_headers_valid(header) and _csi_numbers_valid(numbers)):
         return None
     # Only short integers joined by ',' are left, so numpy's lenient number
     # reader never sees a malformed or trailing item.
@@ -624,28 +672,16 @@ def _from_canonical_block(lines: list[str]) -> list[RawCsiRecord] | None:
     del numbers
     if values.min() < -128 or values.max() > 127:
         return None
-    csi = values.astype(np.float64).view(np.complex128)
-    del values
-    records = []
-    start = 0
-    for (timestamp_low, bfee_count, n_rx, n_tx, rssi1, rssi2, rssi3, noise, agc,
-         perm1, perm2, perm3, rate_flags) in headers:
-        end = start + N_SUBCARRIERS * n_rx * n_tx
-        records.append(RawCsiRecord(timestamp_low, bfee_count, n_rx, n_tx,
-                                    (rssi1, rssi2, rssi3), noise, agc, (perm1, perm2, perm3),
-                                    rate_flags,
-                                    csi=csi[start:end].reshape(N_SUBCARRIERS, n_rx, n_tx)))
-        start = end
-    return records
+    return _capture_of(header, values.astype(np.float64).view(np.complex128))
 
 
-def _from_json_line(line: str, lineno: int) -> RawCsiRecord | None:
-    """The record of any JSON object line, None for a blank line.
+def _from_json_line(line: str, lineno: int) -> Capture:
+    """The Capture of any JSON object line, of no record for a blank line.
 
     Raises SchemaError, with the line number, for every other line.
     """
     if not line.strip():
-        return None
+        return _from_canonical_block([])
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -664,48 +700,45 @@ def _from_json_line(line: str, lineno: int) -> RawCsiRecord | None:
         n_rx, n_tx = ints["n_rx"], ints["n_tx"]
         pairs = obj["csi"]
         if len(pairs) != N_SUBCARRIERS * n_rx * n_tx:
-            raise SchemaError(
-                lineno,
-                f"csi has {len(pairs)} entries, expected "
-                f"{N_SUBCARRIERS * n_rx * n_tx}",
-            )
+            raise SchemaError(lineno, f"csi has {len(pairs)} entries, "
+                                      f"expected {N_SUBCARRIERS * n_rx * n_tx}")
         if not all(type(real) is int and type(imag) is int for real, imag in pairs):
             raise SchemaError(lineno, "csi components must be JSON integers")
         flat = np.array([complex(real, imag) for real, imag in pairs], dtype=np.complex128)
         record = RawCsiRecord(
-            **ints,
-            rssi=tuple(_json_int(r, "rssi", lineno) for r in obj["rssi"]),
-            antenna_perm=tuple(
-                _json_int(p, "antenna_perm", lineno) for p in obj["antenna_perm"]
-            ),
-            csi=flat.reshape(N_SUBCARRIERS, n_rx, n_tx),
-        )
+            **ints, rssi=tuple(_json_int(r, "rssi", lineno) for r in obj["rssi"]),
+            antenna_perm=tuple(_json_int(p, "antenna_perm", lineno) for p in obj["antenna_perm"]),
+            csi=flat.reshape(N_SUBCARRIERS, n_rx, n_tx))
         record.validate()
     except SchemaError:
         raise
     except (TypeError, ValueError, KeyError, OverflowError, InvariantViolation) as exc:
         raise SchemaError(lineno, str(exc)) from exc
-    return record
+    return as_capture([record])
 
 
 def _line_blocks(text: str):
     """Yield (number of its first line, lines) for each _TEXT_BLOCK_LINES lines.
 
     The lines are those of split_lines, cut from text one block at a time,
-    so no second copy of a whole trace is held.
+    so no second copy of a whole trace is held.  A block ends at its
+    _TEXT_BLOCK_LINES-th \\n, or \\r in a text with no \\n; only then are
+    its \\r\\n and \\r made \\n, so a block may hold more lines.
     """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    start = 0
-    for lineno in itertools.count(1, _TEXT_BLOCK_LINES):
+    cut = "\n" if "\n" in text else "\r"
+    start, lineno = 0, 1
+    while True:
         end = start
         for _ in range(_TEXT_BLOCK_LINES):
-            end = text.find("\n", end) + 1
+            end = text.find(cut, end) + 1
             if not end:  # the last block
-                yield lineno, text[start:].split("\n")
-                return
-        yield lineno, text[start : end - 1].split("\n")
-        start = end
+                break
+        lines = text[start : end or None].replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if not end:
+            yield lineno, lines
+            return
+        yield lineno, lines[:-1]  # the empty text after the block's last break
+        start, lineno = end, lineno + len(lines) - 1
 
 
 def split_lines(text: str) -> list[str]:
@@ -716,8 +749,8 @@ def split_lines(text: str) -> list[str]:
     return [line for _, lines in _line_blocks(text) for line in lines]
 
 
-def parse_text_trace(text: str) -> list[RawCsiRecord]:
-    """Parse the text format; SchemaError carries the line number.
+def parse_text_trace(text: str) -> Capture:
+    """Parse the text format into a Capture; SchemaError carries the line number.
 
     Lines are read _TEXT_BLOCK_LINES at a time.  A block of lines in
     write_text_trace's canonical form is read by _from_canonical_block: a
@@ -726,18 +759,19 @@ def parse_text_trace(text: str) -> list[RawCsiRecord]:
     is not canonical or fails a check, each of its lines is read alone,
     through _from_canonical_block and, if that fails, with json.loads,
     which raises every error.  So the first faulty line raises, with the
-    error it would raise if every line were read with json.loads.
+    error it would raise if every line were read with json.loads.  Each
+    block's header values and csi become columns as they are read: each
+    run of its records of one layout is a part of the Capture, a view of
+    the block's csi.
     """
-    records = []
-    for first, block in _line_blocks(text):
-        parsed = _from_canonical_block(block)
-        if parsed is None:
-            parsed = []
-            for lineno, line in enumerate(block, start=first):
-                one = _from_canonical_block([line])
-                if one is None:
-                    record = _from_json_line(line, lineno)
-                    one = [] if record is None else [record]
-                parsed += one
-        records += parsed
-    return records
+    blocks = []
+    for first, lines in _line_blocks(text):
+        block = _from_canonical_block(lines)
+        if block is not None:
+            blocks.append(block)
+            continue
+        for lineno, line in enumerate(lines, start=first):
+            block = _from_canonical_block([line])
+            blocks.append(_from_json_line(line, lineno) if block is None else block)
+    return Capture(*(np.concatenate([getattr(b, name) for b in blocks]) for name in _COLUMNS),
+                   tuple(csi for b in blocks for csi in b.parts))

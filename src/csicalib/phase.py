@@ -16,7 +16,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import AbsentPort
-from .ingest import N_SUBCARRIERS, Capture, RawCsiRecord, capture_blocks, layout_runs
+from .ingest import N_SUBCARRIERS, Capture, RawCsiRecord, as_capture
 from .powercalib import pair_label
 
 
@@ -69,8 +69,8 @@ def differential_series(
         return []
     if isinstance(pairs[0], Integral):
         return differential_series(records, (pairs,))[0]
-    # Every record of a layout run has the n_rx of its first.
-    n_rx = [records[run.start].n_rx for run in layout_runs(records)]
+    capture = as_capture(records)
+    n_rx = [csi.shape[2] for csi in capture.parts]
     for pair in pairs:
         n = next((n for n in n_rx if n <= max(pair)), None)
         if n is not None:
@@ -79,13 +79,13 @@ def differential_series(
     # entry, or anywhere in a record where it reads absent.  Every record
     # has the ports below m.
     m = 1 + max(max(pair) for pair in pairs)
-    angle = np.empty((len(records), N_SUBCARRIERS, m))
+    angle = np.empty((len(capture), N_SUBCARRIERS, m))
     unmeasurable = np.empty(angle.shape, dtype=bool)
-    for part, rssi, csi in capture_blocks(records, "rssi", "csi"):
+    for part, csi in capture.blocks():
         csi = csi[:, :, :m, 0]
         np.arctan2(csi.imag, csi.real, out=angle[part])  # np.angle(csi)
         np.equal(csi, 0, out=unmeasurable[part])
-        unmeasurable[part] |= rssi[:, None, :m] == 0
+        unmeasurable[part] |= capture.rssi[part, None, :m] == 0
     np.degrees(angle, out=angle)
     series = []
     for pair in pairs:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import CalibrationConstants, Capture, RawCsiRecord, capture_blocks, common_n_rx
+from .ingest import CalibrationConstants, Capture, RawCsiRecord, as_capture, common_n_rx
 
 #: Canonical unordered port pairs, reported numerator-first (2/1, 3/2, 1/3).
 PORT_PAIRS_3 = ((1, 0), (2, 1), (0, 2))
@@ -101,19 +101,19 @@ def check_ratio_consistency(records: Capture | list[RawCsiRecord]) -> list[PairR
     """
     if not records:
         return []
-    n_rx = common_n_rx(records)
+    capture = as_capture(records)
+    n_rx = common_n_rx(capture)
     # Each record's CSI power per port, summed over one C-contiguous row of
     # its (K, n_tx) entries; the row length sets the order of the sum and
     # so its bits.  Each square is re*re + im*im, as in calibrate: exact on
     # integer CSI, where |csi|**2 is not.
-    power = np.empty((len(records), n_rx))
-    rssi = np.empty((len(records), n_rx))
-    for part, block_rssi, csi in capture_blocks(records, "rssi", "csi"):
+    power = np.empty((len(capture), n_rx))
+    for rows, csi in capture.blocks():
         csi = csi.transpose(0, 2, 1, 3)
         sq = np.multiply(csi.real, csi.real, order="C")
         sq += csi.imag * csi.imag
-        power[part] = sq.reshape(len(sq), n_rx, -1).sum(axis=2)
-        rssi[part] = block_rssi[:, :n_rx]
+        power[rows] = sq.reshape(len(sq), n_rx, -1).sum(axis=2)
+    rssi = capture.rssi[:, :n_rx].astype(float)
     # math.log10, whose bits do not depend on the platform's SIMD loops.
     log_power = np.array([math.log10(s) if s else math.nan for s in power.ravel().tolist()])
     log_power = log_power.reshape(power.shape)
@@ -133,8 +133,8 @@ def calibrate(records: RawCsiRecord | Capture | list,
               consts: CalibrationConstants) -> CalibratedFrame:
     """Restore absolute per-port power and per-subcarrier amplitude in dBm.
 
-    records is one record, or a capture of one n_rx and n_tx: a Capture,
-    or a non-empty list of records such as one run of layout_runs.  A
+    records is one record, or a non-empty capture of one n_rx and n_tx,
+    such as one run of layout_runs: a Capture or a list of records.  A
     capture's frame gives every field a leading T axis (see
     CalibratedFrame), and its row t equals the frame of record t alone.  A
     record with no reading, every port absent or zero CSI on every present
@@ -151,19 +151,20 @@ def calibrate(records: RawCsiRecord | Capture | list,
         f = calibrate([records], consts)
         return CalibratedFrame(tuple(f.port_power_dbm[0].tolist()), f.total_power_dbm.item(),
                                f.rho.item(), f.amplitude_dbm[0])
-    shape = records[0].csi.shape
+    capture = as_capture(records)
+    shape = capture.parts[0].shape[1:]
     n_rx = shape[1]
-    port_power = np.empty((len(records), n_rx))
-    p_total = np.empty(len(records))
-    rho = np.empty(len(records))
-    amplitude = np.empty((len(records), *shape))
-    for part, rssi, agc, csi in capture_blocks(records, "rssi", "agc", "csi"):
+    port_power = np.empty((len(capture), n_rx))
+    p_total = np.empty(len(capture))
+    rho = np.empty(len(capture))
+    amplitude = np.empty((len(capture), *shape))
+    for part, csi in capture.blocks():
         if csi.shape[1:] != shape:
             raise ValueError("a capture's csi must have the same shape in every record")
         # rssi_to_dbm's arithmetic, on arrays: the same bits.
-        rssi = rssi[:, :n_rx]
+        rssi = capture.rssi[part, :n_rx]
         power = port_power[part]
-        np.subtract(rssi - agc[:, None], consts.c_fixed, out=power)
+        np.subtract(rssi - capture.agc[part, None], consts.c_fixed, out=power)
         power[rssi == 0] = np.nan  # an absent port has no power
         # total_power's Python arithmetic, once per distinct row of port
         # powers; a row with NaN is a key of its own, and is still found.

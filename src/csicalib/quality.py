@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InsufficientData
-from .ingest import (N_SUBCARRIERS, CalibrationConstants, Capture, RawCsiRecord, capture_blocks,
-                     common_n_rx)
+from .ingest import (N_SUBCARRIERS, CalibrationConstants, Capture, RawCsiRecord, as_capture,
+                     common_n_rx, layout_runs)
 from .phase import circular_stats, differential_series
 from .powercalib import calibrate, canonical_pairs, pair_label
 
@@ -100,28 +100,25 @@ def variation_stats(
 ) -> VariationStats:
     """Amplitude/phase variation over a capture of a static channel.
 
-    Calibrates the capture one block of capture_blocks at a time: a
-    Capture in one call, a list of records in parts of at most
-    _STACK_RECORDS.
+    Calibrates the capture one layout run at a time.
     """
     if len(records) < 2:
         raise InsufficientData("need at least two records")
-    n_rx = common_n_rx(records)
+    capture = as_capture(records)
+    n_rx = common_n_rx(capture)
     pairs = canonical_pairs(n_rx)
     # The phase statistics come first, so that the capture's series are
     # gone before its amplitudes are held.
-    phase = [circular_stats(s.phase_deg) for s in differential_series(records, pairs)]
+    phase = [circular_stats(s.phase_deg) for s in differential_series(capture, pairs)]
 
     # Per record: the first stream's amplitudes, the port powers, and each
     # port's share of entries with no reading (zero CSI or an absent port,
     # the NaN of calibrate).
-    amp = np.empty((len(records), N_SUBCARRIERS, n_rx))
-    power = np.empty((len(records), n_rx))
-    no_reading = np.empty((n_rx, len(records)))
-    agc = np.empty(len(records), dtype=np.int64)
-    for part, block_agc in capture_blocks(records, "agc"):
-        agc[part] = block_agc
-        frame = calibrate(records[part], consts)
+    amp = np.empty((len(capture), N_SUBCARRIERS, n_rx))
+    power = np.empty((len(capture), n_rx))
+    no_reading = np.empty((n_rx, len(capture)))
+    for part in layout_runs(capture):
+        frame = calibrate(capture[part], consts)
         amp[part] = frame.amplitude_dbm[..., 0]
         power[part] = frame.port_power_dbm
         no_reading[:, part] = np.isnan(frame.amplitude_dbm).mean(axis=(1, 3)).T
@@ -145,7 +142,7 @@ def variation_stats(
         phase_std_deg=np.array([s["std_deg"] for s in phase]).reshape(-1, N_SUBCARRIERS),
         zero_fraction=no_reading.mean(axis=1),
         pairs=pairs,
-        agc_readouts=tuple(agc.tolist()),
+        agc_readouts=tuple(capture.agc.astype(np.int64).tolist()),
         port_power_mean_dbm=port_power,
         n_records=len(records),
     )

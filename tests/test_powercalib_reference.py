@@ -22,7 +22,7 @@ from csicalib import (
     total_power,
     write_text_trace,
 )
-from csicalib.ingest import _STACK_RECORDS, layout_runs
+from csicalib.ingest import _TEXT_BLOCK_LINES, layout_runs
 from csicalib.powercalib import CalibratedFrame
 
 from conftest import REALISTIC_DISTORTION, random_record
@@ -115,12 +115,12 @@ def test_capture_matches_reference_bit_for_bit(captures, name, consts):
     else:
         assert runs == [slice(0, len(records))]
     if name in ("simulated", "parsed"):
-        # A simulated capture is a Capture of transposed views, read as one
-        # block; a parsed one a list of C-contiguous arrays, read in several
-        # stacks.
+        # A simulated capture is one part of transposed views; a parsed one
+        # a C-contiguous part per block of lines.
         contiguous = {r.csi.flags.c_contiguous for r in records}
         assert contiguous == {name == "parsed"}
-        assert len(records) > 2 * _STACK_RECORDS
+        parts = -(-len(records) // _TEXT_BLOCK_LINES) if name == "parsed" else 1
+        assert len(records.parts) == parts
     for run in runs:
         frame = calibrate(records[run], consts)
         n = run.stop - run.start
