@@ -30,7 +30,6 @@ from .ingest import (
     CalibrationConstants,
     common_n_rx,
     encode_binary_trace,
-    layout_runs,
     parse_binary_trace,
     parse_text_trace,
     split_lines,
@@ -217,16 +216,19 @@ def _cmd_calibrate(args) -> None:
 
     Each stage drops what it no longer needs before the next one writes:
     the frames once amplitudes.csv is written, the records once the phase
-    series exist.  The peak memory of the command is reached while a CSV
-    text is encoded to the file, and those releases keep the capture's
-    arrays from adding to it.
+    series exist.  The peak memory of the command is reached twice while
+    amplitudes.csv is made, as frames_to_csv joins its blocks and as the
+    text is encoded to the file: either holds the capture, its frames and
+    two copies of the text.  Those releases keep the phases.csv stage,
+    which holds neither the frames nor, while it writes, the capture,
+    below that peak.
     """
     records = _read_trace(args.in_path)
     n_rx = common_n_rx(records) if records else 0
     consts = CalibrationConstants(c_fixed=args.consts_c)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    frames = [calibrate(records[run], consts) for run in layout_runs(records)]
+    frames = [calibrate(run, consts) for _, run in records.runs()]
     (out_dir / "amplitudes.csv").write_text(frames_to_csv(frames))
     del frames
     series = differential_series(records, canonical_pairs(n_rx))

@@ -11,6 +11,7 @@ docs/FORMATS.md).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import re
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _dectext
 from .errors import (
     BadPermutation,
     ConfigError,
@@ -225,6 +227,22 @@ class Capture:
         for csi in self.parts:
             yield slice(start, start + len(csi)), csi
             start += len(csi)
+
+    def runs(self):
+        """Yield (rows, capture) for each run of consecutive records of one layout.
+
+        rows is the run's slice of the records and capture their Capture:
+        column slices and the run's parts.  The parts are walked once for
+        all runs, where capture[rows] looks through every part for each
+        run; the rows are those of layout_runs.
+        """
+        start = 0
+        for _, run in itertools.groupby(self.parts, key=lambda csi: csi.shape[2:]):
+            parts = tuple(run)
+            rows = slice(start, start + sum(map(len, parts)))
+            yield rows, replace(self, parts=parts,
+                                **{name: getattr(self, name)[rows] for name in _COLUMNS})
+            start = rows.stop
 
     def layout(self) -> np.ndarray:
         """Each record's (n_rx, n_tx), read from the parts: (T, 2)."""
@@ -511,25 +529,46 @@ def _json_int(value, name: str, lineno: int) -> int:
     return value
 
 
-@functools.lru_cache(maxsize=None)
-def _line_template(n_rx: int, n_tx: int) -> str:
-    """The canonical line of one layout as a %-template.
+#: A canonical line up to its CSI body, as a %-template of the header values
+#: in _TEXT_FIELDS order (rssi and antenna_perm as three values each) and the
+#: body.  Filled with Python ints and the body that _csi_words gives, it is
+#: json.dumps with separators=(",", ":") of the record's object, keys in
+#: that order.
+_LINE_TEMPLATE = ('{"timestamp_low":%d,"bfee_count":%d,"n_rx":%d,"n_tx":%d,"rssi":[%d,%d,%d],'
+                  '"noise":%d,"agc":%d,"antenna_perm":[%d,%d,%d],"rate_flags":%d,"csi":[%s\n')
 
-    It takes the header values in _TEXT_FIELDS order (rssi and antenna_perm
-    as three values each), then the real and imaginary part of each CSI
-    entry.  Filled with Python ints, it gives the bytes of json.dumps with
-    separators=(",", ":") of the record's object, keys in that order.
+
+@functools.lru_cache(maxsize=None)
+def _csi_words() -> np.ndarray:
+    """The text of a CSI component as a uint64 word, NUL-padded.
+
+    Entry v + 128 is ',[' and the real part v, then ','; entry 384 + v the
+    imaginary part v, then ']'.  The CSI body of a line is the words of
+    its pairs in order, without the first byte, then the word of ']}\\n'.
+    Built from the int8 text of _dectext.integers on first use.
     """
-    pairs = ",".join(["[%d,%d]"] * (N_SUBCARRIERS * n_rx * n_tx))
-    return ('{"timestamp_low":%d,"bfee_count":%d,"n_rx":%d,"n_tx":%d,"rssi":[%d,%d,%d],'
-            '"noise":%d,"agc":%d,"antenna_perm":[%d,%d,%d],"rate_flags":%d,'
-            '"csi":[' + pairs + ']}\n')
+    words = np.zeros((2, 256, 8), dtype=np.uint8)
+    text = _dectext.integers(np.arange(-128, 128))
+    words[0, :, :2] = np.frombuffer(b",[", dtype=np.uint8)
+    words[0, :, 2:6] = text
+    words[0, :, 6] = ord(",")
+    words[1, :, :4] = text
+    words[1, :, 4] = ord("]")
+    table = words.view(np.uint64).ravel()
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
+
+
+#: Where _csi_words() holds a real and an imaginary part of value 0.
+_CSI_WORD_OFFSETS = np.array([128.0, 384.0])
+#: The end of a CSI body, after its last pair, as a word.
+_CSI_END = np.frombuffer(b"]}\n\0\0\0\0\0", dtype=np.uint64)[0]
 
 
 #: Lines read at a time by parse_text_trace, and written at a time by
 #: write_text_trace.  A block's CSI text is held several times over while
-#: it is read, as bytes and as byte masks, and its values as Python ints
-#: while it is written.  Reading a 2000-line trace 256 lines at a time
+#: it is read, as bytes and as byte masks, and as text words while it is
+#: written.  Reading a 2000-line trace 256 lines at a time
 #: raised the parse's traced peak memory by 0.4-0.7 MiB over reading one
 #: line at a time; 64 lines at a time, as fast, by about 0.1 MiB.
 _TEXT_BLOCK_LINES = 64
@@ -539,21 +578,29 @@ def write_text_trace(records: Capture | list[RawCsiRecord]) -> str:
     """Serialize a capture to the canonical JSON-lines text format.
 
     Each layout's lines are formatted _TEXT_BLOCK_LINES at a time from the
-    capture's columns.
+    capture's columns: the CSI bodies of a block as one array of text
+    words, whose NUL bytes one bytes.translate drops, and each line's
+    header values through _LINE_TEMPLATE.
     """
     checked = _checked(records)
     header = next(checked)
-    lines: dict[int, str] = {}
-    for n_rx, n_tx, rows, csi in checked:
-        template = _line_template(n_rx, n_tx)
+    lines = [""] * len(header)
+    words = _csi_words()
+    for _, _, rows, csi in checked:
         for a in range(0, len(rows), _TEXT_BLOCK_LINES):
             block = rows[a : a + _TEXT_BLOCK_LINES]
             # csi[k, port, t] as (re, im) pairs, subcarrier-major: one row per record.
             values = np.ascontiguousarray(csi[a : a + len(block)], dtype=np.complex128)
-            values = values.view(np.float64).reshape(len(block), -1).astype(np.int64)
-            for i, h, v in zip(block.tolist(), header[block].tolist(), values.tolist()):
-                lines[i] = template % (*h, *v)
-    return "".join([lines[i] for i in range(len(header))])
+            values = values.view(np.float64).reshape(len(block), -1, 2)
+            body = np.empty((len(block), 2 * values.shape[1] + 1), dtype=np.uint64)
+            body[:, :-1] = words.take((values + _CSI_WORD_OFFSETS).astype(np.intp)).reshape(
+                len(block), -1)
+            body[:, -1] = _CSI_END
+            body.view(np.uint8)[:, 0] = 0  # the ',' before the first pair
+            text = body.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+            for i, h, csi_text in zip(block.tolist(), header[block].tolist(), text):
+                lines[i] = _LINE_TEMPLATE % (*h, csi_text)
+    return "".join(lines)
 
 
 @functools.lru_cache(maxsize=None)

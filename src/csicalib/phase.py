@@ -8,13 +8,13 @@ offset, so the differential series is the stable observable.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
 
+from . import _dectext
 from .errors import AbsentPort
 from .ingest import N_SUBCARRIERS, Capture, RawCsiRecord, as_capture
 from .powercalib import pair_label
@@ -133,17 +133,11 @@ def series_to_csv(series_list: list[DifferentialPhaseSeries]) -> str:
     """CSV export: packet index, subcarrier, pair, phase_deg, unmeasurable.
 
     Rows end in CRLF, as the stdlib csv writer's; a NaN phase is written as
-    an empty value with unmeasurable 1 (docs/FORMATS.md).  Each series
-    fills one %-template per packet, whose cells format as f"{v:.6f}".
+    an empty value with unmeasurable 1 (docs/FORMATS.md); every other
+    phase as f"{v:.6f}" writes it.
     """
-    buf = io.StringIO()
-    buf.write("packet,subcarrier,pair,phase_deg,unmeasurable\r\n")
+    text = ["packet,subcarrier,pair,phase_deg,unmeasurable\r\n"]
     for series in series_list:
-        # One packet's rows, with "\0" for its index; a NaN phase formats
-        # as "nan", and no other cell ends a value in "nan".
-        template = "".join([f"\0,{k},{series.label},%.6f,0\r\n"
-                            for k in range(series.phase_deg.shape[1])])
-        for packet, row in enumerate(series.phase_deg):
-            buf.write((template % tuple(row.tolist())).replace("\0", str(packet))
-                      .replace("nan,0", ",1"))
-    return buf.getvalue()
+        labels = [f",{k},{series.label}," for k in range(series.phase_deg.shape[1])]
+        text.extend(_dectext.packet_rows(0, labels, series.phase_deg, (",0\r\n", ",1\r\n")))
+    return "".join(text)

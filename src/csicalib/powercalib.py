@@ -8,13 +8,12 @@ per-subcarrier amplitude in dBm.
 
 from __future__ import annotations
 
-import io
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _dectext
 from .ingest import CalibrationConstants, Capture, RawCsiRecord, as_capture, common_n_rx
 
 #: Canonical unordered port pairs, reported numerator-first (2/1, 3/2, 1/3).
@@ -199,23 +198,21 @@ def frames_to_csv(frames: list[CalibratedFrame]) -> str:
     has none.  Rows end in CRLF, as the stdlib csv writer's; a NaN
     amplitude is written as an empty value (docs/FORMATS.md).
     """
-    buf = io.StringIO()
+    text = []
     if frames:
         first = frames[0]
         for port, power in enumerate(first.port_power_dbm[0].tolist()):
             if not math.isnan(power):
-                buf.write(f"# port_power_dbm,port={port + 1},{power:.4f}\n")
+                text.append(f"# port_power_dbm,port={port + 1},{power:.4f}\n")
         if not math.isnan(first.total_power_dbm[0]):
-            buf.write(f"# total_power_dbm,{first.total_power_dbm[0]:.4f}\n")
-    buf.write("packet,port,subcarrier,tx,amplitude_dbm\r\n")
-    packets = itertools.count()
+            text.append(f"# total_power_dbm,{first.total_power_dbm[0]:.4f}\n")
+    text.append("packet,port,subcarrier,tx,amplitude_dbm\r\n")
+    packet = 0
     for frame in frames:
         amp = frame.amplitude_dbm
-        # One packet's rows, in C order of (k, p, tx), with "\0" for its
-        # index; a NaN amplitude formats as "nan".
-        template = "".join([f"\0,{p + 1},{k},{tx},%.6f\r\n"
-                            for k, p, tx in np.ndindex(amp.shape[1:])])
-        for row, packet in zip(amp.reshape(len(amp), -1), packets):
-            buf.write((template % tuple(row.tolist())).replace("\0", str(packet))
-                      .replace("nan", ""))
-    return buf.getvalue()
+        # One packet's rows, in C order of (k, p, tx).
+        labels = [f",{p + 1},{k},{tx}," for k, p, tx in np.ndindex(amp.shape[1:])]
+        text.extend(_dectext.packet_rows(packet, labels, amp.reshape(len(amp), -1),
+                                         ("\r\n", "\r\n")))
+        packet += len(amp)
+    return "".join(text)

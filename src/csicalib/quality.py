@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, InsufficientData
 from .ingest import (N_SUBCARRIERS, CalibrationConstants, Capture, RawCsiRecord, as_capture,
-                     common_n_rx, layout_runs)
+                     common_n_rx)
 from .phase import circular_stats, differential_series
 from .powercalib import calibrate, canonical_pairs, pair_label
 
@@ -117,11 +117,11 @@ def variation_stats(
     amp = np.empty((len(capture), N_SUBCARRIERS, n_rx))
     power = np.empty((len(capture), n_rx))
     no_reading = np.empty((n_rx, len(capture)))
-    for part in layout_runs(capture):
-        frame = calibrate(capture[part], consts)
-        amp[part] = frame.amplitude_dbm[..., 0]
-        power[part] = frame.port_power_dbm
-        no_reading[:, part] = np.isnan(frame.amplitude_dbm).mean(axis=(1, 3)).T
+    for rows, run in capture.runs():
+        frame = calibrate(run, consts)
+        amp[rows] = frame.amplitude_dbm[..., 0]
+        power[rows] = frame.port_power_dbm
+        no_reading[:, rows] = np.isnan(frame.amplitude_dbm).mean(axis=(1, 3)).T
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         amp_mean = np.nanmean(amp, axis=0).T  # (n_rx, 30)

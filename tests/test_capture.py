@@ -29,10 +29,11 @@ from csicalib import (
     write_text_trace,
 )
 from csicalib.errors import AbsentPort, InvariantViolation
-from csicalib.ingest import _TEXT_BLOCK_LINES, as_capture, common_n_rx, layout_runs
-from csicalib.powercalib import canonical_pairs
+from csicalib.ingest import _TEXT_BLOCK_LINES, N_SUBCARRIERS, as_capture, common_n_rx, layout_runs
+from csicalib import cli
+from csicalib.powercalib import canonical_pairs, frames_to_csv
 
-from conftest import REALISTIC_DISTORTION, random_record
+from conftest import REALISTIC_DISTORTION, make_record, random_record
 from test_chipsim_reference import CASES, _assert_identical, _ref_simulate_capture
 
 N_PACKETS = 300
@@ -245,6 +246,53 @@ def test_layout_runs_and_common_n_rx_of_a_capture():
     assert len(parsed.parts) == -(-N_PACKETS // _TEXT_BLOCK_LINES)
     assert layout_runs(parsed) == [slice(0, N_PACKETS)]
     assert common_n_rx(parsed) == 2
+
+
+class _CountedParts(tuple):
+    """A capture's parts that count each visit to a part, by iteration or index."""
+
+    visits = 0
+
+    def __iter__(self):
+        for csi in super().__iter__():
+            self.visits += 1
+            yield csi
+
+    def __getitem__(self, i):
+        got = super().__getitem__(i)
+        self.visits += len(got) if isinstance(i, slice) else 1
+        return got
+
+
+def test_layout_runs_walk_the_parts_once(consts, monkeypatch, tmp_path):
+    # n_tx alternates: every record is a layout run, and a part, of its own.
+    rng = np.random.default_rng(1)
+    shapes = [(N_SUBCARRIERS, 3, 1 + t % 2) for t in range(2000)]
+    capture = parse_text_trace(write_text_trace([
+        make_record(csi=rng.integers(-60, 60, shape) + 1j * rng.integers(-60, 60, shape),
+                    n_tx=shape[2]) for shape in shapes]))
+    assert len(capture.parts) == len(layout_runs(capture)) == 2000
+    # The frames and stats of one slice of the capture per run.
+    frames = [calibrate(capture[rows], consts) for rows in layout_runs(capture)]
+    with monkeypatch.context() as m:
+        m.setattr(Capture, "runs", lambda self: ((rows, self[rows]) for rows in layout_runs(self)))
+        stats = variation_stats(capture, consts)
+
+    parts = _CountedParts(capture.parts)
+    counted = dataclasses.replace(capture, parts=parts)
+    runs = list(counted.runs())
+    assert parts.visits == len(parts)
+    assert [rows for rows, _ in runs] == layout_runs(capture)
+    _assert_same_bits([calibrate(run, consts) for _, run in runs], frames)
+    # A few passes over the parts, where a slice per run made 2000.
+    parts.visits = 0
+    _assert_same_bits(variation_stats(counted, consts), stats)
+    assert parts.visits <= 5 * len(parts)
+    parts.visits = 0
+    monkeypatch.setattr(cli, "_read_trace", lambda path: counted)
+    assert cli.main(["calibrate", "--in", "trace.txt", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "amplitudes.csv").read_bytes() == frames_to_csv(frames).encode()
+    assert parts.visits <= 5 * len(parts)
 
 
 def test_a_capture_is_its_parts_as_they_are():

@@ -13,6 +13,7 @@ canonical CSI body as a regular expression, is the reference of the byte
 check.
 """
 
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -31,7 +32,7 @@ from csicalib import (
 )
 from csicalib import ingest
 from csicalib.errors import CsiCalibError, InvariantViolation, SchemaError
-from csicalib.ingest import N_SUBCARRIERS, RawCsiRecord
+from csicalib.ingest import _TEXT_BLOCK_LINES, N_SUBCARRIERS, RawCsiRecord
 
 from conftest import REALISTIC_DISTORTION, make_record, random_record
 from test_codec_reference import (
@@ -170,6 +171,28 @@ def test_mixed_layout_trace_matches_reference():
     assert text == _ref_write_text_trace(records)
     _, parsed = _assert_same_outcome(text)
     _assert_same_records(parsed, records)
+
+
+@pytest.mark.parametrize("n_tx", [1, 2, 3])
+@pytest.mark.parametrize("n_rx", [1, 2, 3])
+def test_every_layout_and_every_int8_value_match_reference(n_rx, n_tx):
+    # The real and the imaginary parts each take all 256 int8 values, in
+    # more lines than a block of the writer holds.
+    rng = np.random.default_rng(10 * n_rx + n_tx)
+    size = N_SUBCARRIERS * n_rx * n_tx
+    n_lines = _TEXT_BLOCK_LINES + 3
+    components = np.resize(rng.permutation(np.arange(-128, 128)), (2, n_lines * size))
+    rng.shuffle(components, axis=1)
+    csi = (components[0] + 1j * components[1]).reshape(n_lines, N_SUBCARRIERS, n_rx, n_tx)
+    records = [dataclasses.replace(random_record(rng), n_rx=n_rx, n_tx=n_tx,
+                                   rssi=(*rng.integers(1, 256, n_rx).tolist(), *[0] * (3 - n_rx)),
+                                   antenna_perm=(*range(n_rx), *[3] * (3 - n_rx)), csi=c)
+               for c in csi]
+    text = write_text_trace(records)
+    assert text == _ref_write_text_trace(records)
+    assert {v for r in records for v in r.csi.real.ravel().tolist()} == set(range(-128, 128))
+    assert {v for r in records for v in r.csi.imag.ravel().tolist()} == set(range(-128, 128))
+    _assert_same_records(parse_text_trace(text), records)
 
 
 def test_simulated_capture_matches_reference():

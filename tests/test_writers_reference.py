@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from csicalib import _dectext
 from csicalib import (
     SimConfig,
     calibrate,
@@ -26,7 +27,7 @@ from csicalib import (
 from csicalib.errors import AbsentPort
 from csicalib.ingest import layout_runs
 from csicalib.phase import DifferentialPhaseSeries, series_to_csv
-from csicalib.powercalib import canonical_pairs, frames_to_csv
+from csicalib.powercalib import CalibratedFrame, canonical_pairs, frames_to_csv
 
 from conftest import REALISTIC_DISTORTION, make_record, random_record
 
@@ -312,3 +313,67 @@ def test_series_to_csv_matches_reference(spec):
                 phase[t] = np.nan  # a record with no pair phase
         series.append(DifferentialPhaseSeries(pair=pair, phase_deg=phase))
     assert series_to_csv(series) == _ref_series_to_csv(series)
+
+
+# --- digit and block edges ---------------------------------------------------
+# The writers format _dectext._BLOCK_PACKETS packets at a time.  Packet
+# numbers gain a digit at 10, 100 and 1000: inside a block of 256 packets,
+# and at a block edge where a frame starts there or blocks are 10 packets.
+
+def _edge_values(rng, shape, low, high):
+    """Uniform values in [low, high) with _EDGE_PHASES cells and NaN packets."""
+    values = rng.uniform(low, high, shape)
+    cells = rng.random(shape) < 0.05
+    values[cells] = rng.choice(_EDGE_PHASES, cells.sum())
+    values[rng.random(shape[0]) < 0.02] = np.nan  # a packet with no reading
+    return values
+
+
+def _frame(rng, n_packets, n_rx, n_tx):
+    """A capture frame of n_packets, as calibrate gives it, of edge values."""
+    power = rng.uniform(-80.0, -30.0, (n_packets, n_rx))
+    power[0, -1] = np.nan  # an absent port in the header block
+    return CalibratedFrame(power, rng.uniform(-80.0, -30.0, n_packets),
+                           rng.uniform(0.0, 1.0, n_packets),
+                           _edge_values(rng, (n_packets, 30, n_rx, n_tx), -110.0, -20.0))
+
+
+def _record_frames(frame):
+    """The frame of each record of a capture frame, as _ref_frames_to_csv reads them."""
+    return [CalibratedFrame(tuple(power.tolist()), total, rho, amp)
+            for power, total, rho, amp in zip(frame.port_power_dbm, frame.total_power_dbm.tolist(),
+                                               frame.rho.tolist(), frame.amplitude_dbm)]
+
+
+_FRAME_LAYOUTS = {
+    # One frame over 0..1099: each new digit inside a block.
+    "one_frame": [(1100, 3, 1)],
+    # Frames of other n_tx starting at 10, 100 and 1000: each new digit at a block edge.
+    "frame_edges": [(10, 3, 2), (90, 2, 3), (900, 1, 1), (120, 3, 3)],
+}
+
+
+@pytest.mark.parametrize("block", [None, 10], ids=["block256", "block10"])
+@pytest.mark.parametrize("layout", list(_FRAME_LAYOUTS))
+def test_frames_to_csv_across_digit_and_block_edges(layout, block, monkeypatch):
+    if block:
+        monkeypatch.setattr(_dectext, "_BLOCK_PACKETS", block)
+    rng = np.random.default_rng(len(layout))
+    frames = [_frame(rng, *shape) for shape in _FRAME_LAYOUTS[layout]]
+    expected = _ref_frames_to_csv([f for frame in frames for f in _record_frames(frame)])
+    assert frames_to_csv(frames) == expected
+    assert "\r\n1000,1,0,0," in expected and "\r\n999,1,29," in expected
+    assert ",-0.000000\r\n" in expected and ",\r\n" in expected
+
+
+@pytest.mark.parametrize("block", [None, 10], ids=["block256", "block10"])
+def test_series_to_csv_across_digit_and_block_edges(block, monkeypatch):
+    if block:
+        monkeypatch.setattr(_dectext, "_BLOCK_PACKETS", block)
+    rng = np.random.default_rng(23)
+    series = [DifferentialPhaseSeries(pair, _edge_values(rng, (1100, 30), -180.0, 180.0))
+              for pair in canonical_pairs(3)]
+    expected = _ref_series_to_csv(series)
+    assert series_to_csv(series) == expected
+    assert "\r\n1000,0,2/1," in expected and ",,1\r\n" in expected
+    assert ",-0.000000,0\r\n" in expected and ",-180.000000,0\r\n" in expected
