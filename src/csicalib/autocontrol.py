@@ -25,11 +25,15 @@ class ControlSettings:
     balance_target_db is the spread the controller balances to when it has
     to act, tighter than the thresholds' reliable spread to leave margin
     for the ~2 dB RSSI estimation error.  max_iters bounds the steps of
-    closed_loop.
+    closed_loop; below 1 it raises ConfigError when built.
     """
 
     balance_target_db: float = 3.0
     max_iters: int = 8
+
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ConfigError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -117,10 +121,10 @@ def closed_loop(
     configured attenuations.  thresholds decide both the verdict of each
     step and the ceiling and spread that recommend balances to.  The loop
     stops on a Reliable verdict, an infeasible or empty action, or
-    settings.max_iters steps.
+    settings.max_iters steps.  The settings, the thresholds and each
+    step's SimConfig are checked when built, so the loop itself checks
+    nothing.
     """
-    if settings.max_iters < 1:
-        raise ConfigError("max_iters must be >= 1")
     consts = initial.calibration_constants()
     config = initial
     steps: list[LoopStep] = []

@@ -49,6 +49,11 @@ class SimConfig:
     The chain constants c_fixed_db, agc_min_db and agc_max_db default to
     those of CalibrationConstants, which calibration_constants() returns
     for this chain.
+
+    A SimConfig is checked when it is built, dataclasses.replace included:
+    values out of range, a chain whose linear powers or count scale leave
+    the float range, and multipath taps that cancel to a zero channel
+    raise ConfigError.
     """
 
     tx_power_dbm: float = -3.0
@@ -64,7 +69,7 @@ class SimConfig:
     quantize: bool = True
     c_fixed_db: float = CalibrationConstants.c_fixed
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_packets < 1:
             raise ConfigError("n_packets must be >= 1")
         if self.seed < 0:
@@ -81,6 +86,8 @@ class SimConfig:
                               "the range of the AGC readout")
         self.calibration_constants()
         _linear_scales(self)
+        with np.errstate(all="ignore"):  # a channel past the float range is simulate_capture's
+            _unit_channel(self)
 
     def calibration_constants(self) -> CalibrationConstants:
         """The constants that calibrate this chain's readouts."""
@@ -164,13 +171,17 @@ def simulate_capture(
     when noise_floor_dbm is None.  The whole capture is computed as
     (T, n_rx, 30) arrays, and the Capture's columns are those arrays: its
     one csi part is a view of the counts, and no record is built until one
-    is indexed.  Values whose arithmetic leaves the float range raise
-    ConfigError.
+    is indexed.  Values whose arithmetic leaves the float range, and a
+    delta_deg with fewer than n_rx entries, raise ConfigError.
     """
-    config.validate()
+    distortion = distortion or PhaseDistortion()
+    n_rx = len(config.attenuation_db)
+    if len(distortion.delta_deg) < n_rx:
+        raise ConfigError(f"delta_deg needs at least {n_rx} entries, one per port, "
+                          f"got {len(distortion.delta_deg)}")
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _simulate(config, distortion or PhaseDistortion())
+            return _simulate(config, distortion)
     except FloatingPointError as exc:
         raise ConfigError(f"the simulated chain leaves the float range ({exc})") from exc
 

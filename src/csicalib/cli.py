@@ -102,8 +102,12 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _dataclass_from(cls, obj, what: str):
-    """An instance of cls from a config object, each value checked by _typed."""
+def _dataclass_from(cls, obj, what: str, **overrides):
+    """An instance of cls from a config object, each value checked by _typed.
+
+    The overrides replace config values once those are type-checked, before
+    cls is built, and so before it checks its values.
+    """
     if type(obj) is not dict:
         raise ConfigError(f"{what} must be a JSON object, got {json.dumps(obj)}")
     hints = typing.get_type_hints(cls)
@@ -111,7 +115,7 @@ def _dataclass_from(cls, obj, what: str):
     if unknown:
         raise ConfigError(f"bad {what} section: unknown keys {', '.join(unknown)}")
     return cls(**{name: _typed(value, hints[name], f"{what}.{name}")
-                  for name, value in obj.items()})
+                  for name, value in obj.items()} | overrides)
 
 
 def _typed(value, annotation, what: str):
@@ -149,11 +153,8 @@ def _typed(value, annotation, what: str):
 
 
 def _sim_config(obj: dict, seed_override: int | None) -> SimConfig:
-    config = _dataclass_from(SimConfig, obj.get("sim", {}), "sim")
-    if seed_override is not None:
-        config = replace(config, seed=seed_override)
-    config.validate()
-    return config
+    seed = {} if seed_override is None else {"seed": seed_override}
+    return _dataclass_from(SimConfig, obj.get("sim", {}), "sim", **seed)
 
 
 def _distortion(obj: dict, n_rx: int) -> PhaseDistortion:
@@ -166,9 +167,7 @@ def _distortion(obj: dict, n_rx: int) -> PhaseDistortion:
 
 
 def _thresholds(obj: dict) -> QualityThresholds:
-    thresholds = _dataclass_from(QualityThresholds, obj.get("thresholds", {}), "thresholds")
-    thresholds.validate()
-    return thresholds
+    return _dataclass_from(QualityThresholds, obj.get("thresholds", {}), "thresholds")
 
 
 def _resolve_seed(args) -> int | None:

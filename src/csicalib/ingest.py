@@ -234,7 +234,7 @@ class Capture:
         rows is the run's slice of the records and capture their Capture:
         column slices and the run's parts.  The parts are walked once for
         all runs, where capture[rows] looks through every part for each
-        run; the rows are those of layout_runs.
+        run.
         """
         start = 0
         for _, run in itertools.groupby(self.parts, key=lambda csi: csi.shape[2:]):
@@ -298,14 +298,6 @@ def common_n_rx(records: Capture | list[RawCsiRecord]) -> int:
     return int(n_rx[0])
 
 
-def layout_runs(records: Capture | list[RawCsiRecord]) -> list[slice]:
-    """A slice for each run of consecutive records of one (n_rx, n_tx).
-
-    The records of one run have csi of one shape, so they stack.
-    """
-    return [slice(a, b) for a, b in _runs(as_capture(records).layout())]
-
-
 def _checked(records: Capture | list[RawCsiRecord]):
     """Yield the (T, 13) header of a capture of valid records, then its layouts.
 
@@ -347,9 +339,8 @@ def _checked(records: Capture | list[RawCsiRecord]):
 
 # --- binary format -----------------------------------------------------------
 
-# The 20-byte record header: little-endian, two reserved bytes at 6..7.
-_RECORD_HEADER = struct.Struct("<IHxxBBBBBbBBHH")
-# The same, after the frame length's two bytes (big-endian) and the code byte.
+# A frame's first three bytes, the length (big-endian) and the code, then the
+# 20-byte record header: little-endian, two reserved bytes at 6..7.
 _FRAME_AND_HEADER = struct.Struct("<BBBIHxxBBBBBbBBHH")
 
 
@@ -449,14 +440,13 @@ def parse_binary_trace(data: bytes) -> Capture:
         if frame_len < 1 or end > total:
             raise TruncatedRecord(f"frame at offset {off} exceeds input")
         code = data[off + 2]
-        body = off + 3
-        off = end
+        start, body, off = off, off + 3, end
         if code != CSI_RECORD_CODE:
             continue
         if end - body < _HEADER_BYTES:
             raise TruncatedRecord("record body shorter than fixed header")
-        (timestamp_low, bfee_count, n_rx, n_tx, rssi1, rssi2, rssi3, noise, agc,
-         antenna_sel, declared_len, rate_flags) = _RECORD_HEADER.unpack_from(data, body)
+        (_, _, _, timestamp_low, bfee_count, n_rx, n_tx, rssi1, rssi2, rssi3, noise, agc,
+         antenna_sel, declared_len, rate_flags) = _FRAME_AND_HEADER.unpack_from(data, start)
         if not (1 <= n_rx <= 3 and 1 <= n_tx <= 3):
             raise InvariantViolation(f"n_rx={n_rx}, n_tx={n_tx} out of range")
         expected = csi_payload_len(n_rx, n_tx)

@@ -133,7 +133,7 @@ def calibrate(records: RawCsiRecord | Capture | list,
     """Restore absolute per-port power and per-subcarrier amplitude in dBm.
 
     records is one record, or a non-empty capture of one n_rx and n_tx,
-    such as one run of layout_runs: a Capture or a list of records.  A
+    such as one run of Capture.runs(): a Capture or a list of records.  A
     capture's frame gives every field a leading T axis (see
     CalibratedFrame), and its row t equals the frame of record t alone.  A
     record with no reading, every port absent or zero CSI on every present

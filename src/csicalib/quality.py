@@ -36,12 +36,24 @@ _PRECEDENCE = (
 
 @dataclass(frozen=True)
 class QualityThresholds:
+    """The limits a capture is classified against.
+
+    The defaults of max_loss_db and spread_reliable_db are the paper's two
+    reliability criteria: a channel loss under 60 dB and a spread between
+    ports under 10 dB.  Past spread_unmeasurable_db the weak port's CSI is
+    zero, and a port with more than zero_fraction_max of its entries
+    without a reading is unmeasurable.  The thresholds are checked when
+    built, dataclasses.replace included: spread_reliable_db above
+    spread_unmeasurable_db, or a zero_fraction_max outside [0, 1], raises
+    ConfigError.
+    """
+
     max_loss_db: float = 60.0
     spread_reliable_db: float = 10.0
     spread_unmeasurable_db: float = 30.0
     zero_fraction_max: float = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.spread_reliable_db <= self.spread_unmeasurable_db:
             raise ConfigError("spread_reliable_db must not exceed spread_unmeasurable_db")
         if not 0.0 <= self.zero_fraction_max <= 1.0:

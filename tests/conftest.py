@@ -2,12 +2,20 @@ import numpy as np
 import pytest
 
 from csicalib import CalibrationConstants, PhaseDistortion, RawCsiRecord
-from csicalib.ingest import N_SUBCARRIERS
+from csicalib.ingest import N_SUBCARRIERS, _runs, as_capture
 
 
 @pytest.fixture
 def consts():
     return CalibrationConstants()
+
+
+def ref_layout_runs(records):
+    """A slice for each run of consecutive records of one (n_rx, n_tx).
+
+    The reference for the rows of Capture.runs(), from each record's layout.
+    """
+    return [slice(a, b) for a, b in _runs(as_capture(records).layout())]
 
 
 # Oscillator drift representative of a real unsynchronized link; common to

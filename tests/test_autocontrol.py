@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,6 +165,19 @@ def test_closed_loop_stops_when_infeasible(consts):
     assert len(steps) == 1
     assert not steps[-1].action.feasible
     assert steps[-1].config.attenuation_db == initial.attenuation_db
+
+
+@pytest.mark.parametrize("max_iters", [0, -1])
+def test_control_settings_out_of_range_raise_when_built(max_iters):
+    with pytest.raises(ConfigError, match="max_iters must be >= 1"):
+        ControlSettings(max_iters=max_iters)
+    with pytest.raises(ConfigError, match="max_iters must be >= 1"):
+        replace(ControlSettings(), max_iters=max_iters)
+
+
+def test_recommend_is_never_handed_inconsistent_thresholds():
+    with pytest.raises(ConfigError, match="spread_reliable_db must not exceed"):
+        recommend([30, 30, 38], thresholds=QualityThresholds(spread_reliable_db=40.0))
 
 
 def test_closed_loop_stops_after_max_iters():

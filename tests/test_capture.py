@@ -29,11 +29,11 @@ from csicalib import (
     write_text_trace,
 )
 from csicalib.errors import AbsentPort, InvariantViolation
-from csicalib.ingest import _TEXT_BLOCK_LINES, N_SUBCARRIERS, as_capture, common_n_rx, layout_runs
+from csicalib.ingest import _TEXT_BLOCK_LINES, N_SUBCARRIERS, as_capture, common_n_rx
 from csicalib import cli
 from csicalib.powercalib import canonical_pairs, frames_to_csv
 
-from conftest import REALISTIC_DISTORTION, make_record, random_record
+from conftest import REALISTIC_DISTORTION, make_record, random_record, ref_layout_runs
 from test_chipsim_reference import CASES, _assert_identical, _ref_simulate_capture
 
 N_PACKETS = 300
@@ -97,7 +97,7 @@ def _assert_same_bits(a, b):
 
 
 def _assert_analyses_alike(capture, records, consts):
-    for run in layout_runs(records):
+    for run in ref_layout_runs(records):
         _assert_same_bits(calibrate(capture[run], consts), calibrate(records[run], consts))
     _assert_same_bits(check_ratio_consistency(capture), check_ratio_consistency(records))
     pairs = canonical_pairs(common_n_rx(records))
@@ -124,9 +124,9 @@ def test_capture_analyses_like_its_records(n_rx, quantize, no_readings, consts):
 def test_mixed_layout_capture_analyses_like_its_records(consts):
     records = _mixed_records(400, n_rx=3)
     capture = parse_text_trace(write_text_trace(records))
-    runs = layout_runs(capture)
+    runs = ref_layout_runs(capture)
     assert len(runs) > 3 and len(capture.parts) > len(runs)  # runs cross blocks of lines
-    assert runs == layout_runs(records)
+    assert runs == ref_layout_runs(records)
     _assert_analyses_alike(capture, records, consts)
 
 
@@ -233,18 +233,19 @@ def test_a_list_becomes_a_capture_of_views_of_its_records():
     assert all(np.shares_memory(p, r.csi) and p[0].shape == r.csi.shape
                for p, r in zip(capture.parts, records))
     assert capture == records
-    assert layout_runs(capture) == layout_runs(records) and len(layout_runs(records)) > 3
+    runs = ref_layout_runs(records)
+    assert ref_layout_runs(capture) == runs and len(runs) > 3
     assert len(as_capture([])) == 0 and as_capture([]).parts == ()
 
 
 def test_layout_runs_and_common_n_rx_of_a_capture():
     capture = _simulated(2)
-    assert layout_runs(capture) == [slice(0, N_PACKETS)]
-    assert layout_runs(capture[3:3]) == []
+    assert ref_layout_runs(capture) == [slice(0, N_PACKETS)]
+    assert ref_layout_runs(capture[3:3]) == []
     assert common_n_rx(capture) == 2
     parsed = parse_text_trace(write_text_trace(capture))
     assert len(parsed.parts) == -(-N_PACKETS // _TEXT_BLOCK_LINES)
-    assert layout_runs(parsed) == [slice(0, N_PACKETS)]
+    assert ref_layout_runs(parsed) == [slice(0, N_PACKETS)]
     assert common_n_rx(parsed) == 2
 
 
@@ -271,18 +272,19 @@ def test_layout_runs_walk_the_parts_once(consts, monkeypatch, tmp_path):
     capture = parse_text_trace(write_text_trace([
         make_record(csi=rng.integers(-60, 60, shape) + 1j * rng.integers(-60, 60, shape),
                     n_tx=shape[2]) for shape in shapes]))
-    assert len(capture.parts) == len(layout_runs(capture)) == 2000
+    assert len(capture.parts) == len(ref_layout_runs(capture)) == 2000
     # The frames and stats of one slice of the capture per run.
-    frames = [calibrate(capture[rows], consts) for rows in layout_runs(capture)]
+    frames = [calibrate(capture[rows], consts) for rows in ref_layout_runs(capture)]
     with monkeypatch.context() as m:
-        m.setattr(Capture, "runs", lambda self: ((rows, self[rows]) for rows in layout_runs(self)))
+        m.setattr(Capture, "runs",
+                  lambda self: ((rows, self[rows]) for rows in ref_layout_runs(self)))
         stats = variation_stats(capture, consts)
 
     parts = _CountedParts(capture.parts)
     counted = dataclasses.replace(capture, parts=parts)
     runs = list(counted.runs())
     assert parts.visits == len(parts)
-    assert [rows for rows, _ in runs] == layout_runs(capture)
+    assert [rows for rows, _ in runs] == ref_layout_runs(capture)
     _assert_same_bits([calibrate(run, consts) for _, run in runs], frames)
     # A few passes over the parts, where a slice per run made 2000.
     parts.visits = 0

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from csicalib import (
     CalibrationConstants,
     MultipathTap,
     PhaseDistortion,
+    QualityThresholds,
     SimConfig,
     differential_series,
     encode_binary_trace,
@@ -208,17 +211,54 @@ def test_multipath_channel_still_calibrates(consts):
         )
 
 
+_OUT_OF_RANGE = [
+    ({"n_packets": 0}, "n_packets must be >= 1"),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"attenuation_db": ()}, "attenuation_db needs 1 to 3 entries"),
+    ({"attenuation_db": (30.0,) * 4}, "attenuation_db needs 1 to 3 entries"),
+    ({"multipath": ()}, "at least one multipath tap required"),
+    ({"noise_floor_dbm": 10.0}, "noise floor must sit below transmit power"),
+    ({"agc_min_db": 63}, "need 0 <= agc_min_db < agc_max_db <= 255"),
+    ({"c_fixed_db": 1e5}, "c_fixed=100000.0 dB puts calibrated port powers"),
+    ({"adc_ref_amplitude": 1e306}, "chain values put a linear power or the count scale"),
+    ({"multipath": (MultipathTap(gain=0.0),)}, "multipath taps cancel to a zero channel"),
+    ({"multipath": (MultipathTap(gain=2.0), MultipathTap(gain=-2.0))},
+     "multipath taps cancel to a zero channel"),
+]
+
+
+@pytest.mark.parametrize("values, message", _OUT_OF_RANGE)
+def test_config_out_of_range_raises_when_built(values, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        SimConfig(**values)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        replace(BALANCED, **values)
+
+
+def test_a_channel_past_the_float_range_raises_when_simulated():
+    # A tap this strong overflows only in the simulation's arithmetic.
+    config = SimConfig(multipath=(MultipathTap(gain=1e200),))
+    with pytest.raises(ConfigError, match="the simulated chain leaves the float range"):
+        simulate_capture(config)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
-        SimConfig(n_packets=0).validate()
-    with pytest.raises(ConfigError):
-        SimConfig(attenuation_db=()).validate()
-    with pytest.raises(ConfigError):
-        SimConfig(noise_floor_dbm=10.0).validate()
-    with pytest.raises(ConfigError):
-        simulate_capture(SimConfig(multipath=(MultipathTap(gain=0.0),)))
-    with pytest.raises(ConfigError):
         run_sweep([])
+    # Thresholds that would class a 5 dB spread unmeasurable cannot be built.
+    with pytest.raises(ConfigError, match="spread_reliable_db must not exceed"):
+        run_sweep([BALANCED], thresholds=QualityThresholds(spread_unmeasurable_db=5.0))
+
+
+@pytest.mark.parametrize("delta_deg", [(40.0,), (0.0, 40.0)])
+def test_short_delta_deg_is_config_error(delta_deg):
+    distortion = PhaseDistortion(delta_deg=delta_deg)
+    with pytest.raises(ConfigError, match=f"delta_deg needs at least 3 entries, one per port, "
+                                          f"got {len(delta_deg)}"):
+        simulate_capture(SimConfig(), distortion)
+    # A chain of as many ports as entries takes it.
+    chain = SimConfig(attenuation_db=(30.0,) * len(delta_deg))
+    assert len(simulate_capture(chain, distortion)) == chain.n_packets
 
 
 def test_calibration_constants_follow_the_chain():

@@ -28,7 +28,6 @@ from conftest import REALISTIC_DISTORTION
 
 
 def _ref_simulate_capture(config, distortion=None):
-    config.validate()
     if distortion is None:
         distortion = PhaseDistortion()
     rng = np.random.default_rng(config.seed)

@@ -617,6 +617,11 @@ _CHAIN_RANGE = "chain values put a linear power or the count scale beyond the fl
      "the simulated chain leaves the float range"),
     ("sweep", {"sweep": [[30, 30, 30]], "thresholds": {"spread_reliable_db": 40}},
      "spread_reliable_db must not exceed spread_unmeasurable_db"),
+    ("control", {"thresholds": {"spread_unmeasurable_db": 5}},
+     "spread_reliable_db must not exceed spread_unmeasurable_db"),
+    ("control", {"control": {"max_iters": 0}}, "max_iters must be >= 1"),
+    ("sweep", {"sim": {"multipath": [{"gain": 0}]}, "sweep": [[30, 30, 30]]},
+     "multipath taps cancel to a zero channel"),
     ("control", {"thresholds": {"zero_fraction_max": 1.5}},
      "zero_fraction_max must lie in [0, 1]"),
     ("control", {"thresholds": {"zero_fraction_max": -0.1}},
@@ -690,6 +695,24 @@ def test_seed_out_of_range_is_config_error(tmp_path, capsys, monkeypatch, env, f
     cfg = _write_config(tmp_path)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")] + flag) == 4
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config_seed, code", [(-1, 0), ("x", 4)])
+@pytest.mark.parametrize("env, flag", [(None, ["--seed", "5"]), ("5", [])])
+def test_seed_override_replaces_a_config_seed_of_the_right_type(
+        tmp_path, capsys, monkeypatch, config_seed, code, env, flag):
+    # The override replaces the config's seed after its type is checked and
+    # before its range is: a seed out of range is overridden, a string is not.
+    if env is not None:
+        monkeypatch.setenv("CSI_CALIB_SEED", env)
+    cfg = _write_config(tmp_path, {"sim": {"n_packets": 5, "seed": config_seed}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)] + flag) == code
+    if code:
+        assert 'sim.seed must be a JSON integer, got "x"' in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 5
 
 
 def test_sweep_past_the_readout_range_is_unmeasurable(tmp_path):

@@ -22,10 +22,10 @@ from csicalib import (
     total_power,
     write_text_trace,
 )
-from csicalib.ingest import _TEXT_BLOCK_LINES, layout_runs
+from csicalib.ingest import _TEXT_BLOCK_LINES
 from csicalib.powercalib import CalibratedFrame
 
-from conftest import REALISTIC_DISTORTION, random_record
+from conftest import REALISTIC_DISTORTION, random_record, ref_layout_runs
 
 
 def _ref_calibrate(record, consts):
@@ -109,7 +109,7 @@ def _assert_row_matches(frame, t, ref):
 @pytest.mark.parametrize("name", ["simulated", "parsed", "no_readings", "mixed_n_tx"])
 def test_capture_matches_reference_bit_for_bit(captures, name, consts):
     records = captures[name]
-    runs = layout_runs(records)
+    runs = ref_layout_runs(records)
     if name == "mixed_n_tx":
         assert len({records[run.start].n_tx for run in runs}) == 3
     else:
@@ -143,7 +143,7 @@ def test_no_reading_rows_are_nan(captures, consts):
 @pytest.mark.parametrize("name", ["simulated", "no_readings", "mixed_n_tx", "float"])
 def test_one_record_equals_its_row_of_the_capture(captures, name, consts):
     records = captures[name]
-    for run in layout_runs(records):
+    for run in ref_layout_runs(records):
         frame = calibrate(records[run], consts)
         for t, record in enumerate(records[run]):
             one = calibrate(record, consts)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from csicalib import (
     stats_to_csv,
     variation_stats,
 )
-from csicalib.errors import InsufficientData
+from csicalib.errors import ConfigError, InsufficientData
 
 from conftest import REALISTIC_DISTORTION, make_record
 
@@ -148,12 +149,40 @@ def test_classify_losses_monotone_in_max_port():
         assert _SEVERITY[after] >= _SEVERITY[before]
 
 
+_THRESHOLDS_OUT_OF_RANGE = [
+    ({"spread_reliable_db": 40.0}, "spread_reliable_db must not exceed spread_unmeasurable_db"),
+    ({"spread_unmeasurable_db": 5.0},
+     "spread_reliable_db must not exceed spread_unmeasurable_db"),
+    ({"zero_fraction_max": 1.5}, "zero_fraction_max must lie in [0, 1]"),
+    ({"zero_fraction_max": -0.1}, "zero_fraction_max must lie in [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("values, message", _THRESHOLDS_OUT_OF_RANGE)
+def test_thresholds_out_of_range_raise_when_built(values, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        QualityThresholds(**values)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        replace(QualityThresholds(), **values)
+
+
+def test_inconsistent_thresholds_never_reach_classify():
+    # These used to class a 20 dB spread PhaseUnmeasurable and raise nothing.
+    stats = _stats(agc=(27, 28, 40))
+    with pytest.raises(ConfigError, match="spread_reliable_db must not exceed"):
+        classify_losses([30, 45, 50], QualityThresholds(spread_reliable_db=40,
+                                                        spread_unmeasurable_db=5))
+    with pytest.raises(ConfigError, match="spread_reliable_db must not exceed"):
+        classify(stats, [30, 45, 50], QualityThresholds(spread_reliable_db=40,
+                                                         spread_unmeasurable_db=5))
+
+
 _loss = st.one_of(st.none(), st.floats(0.0, 100.0))
+# Only thresholds that can be built: the reliable spread at most the unmeasurable one.
 _thresholds = st.builds(
-    QualityThresholds,
-    max_loss_db=st.floats(0.0, 100.0),
-    spread_reliable_db=st.floats(0.0, 40.0),
-    spread_unmeasurable_db=st.floats(0.0, 40.0),
+    lambda max_loss_db, spreads: QualityThresholds(max_loss_db, *sorted(spreads)),
+    st.floats(0.0, 100.0),
+    st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 40.0)),
 )
 
 

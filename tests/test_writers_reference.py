@@ -25,11 +25,10 @@ from csicalib import (
     wrap_deg,
 )
 from csicalib.errors import AbsentPort
-from csicalib.ingest import layout_runs
 from csicalib.phase import DifferentialPhaseSeries, series_to_csv
 from csicalib.powercalib import CalibratedFrame, canonical_pairs, frames_to_csv
 
-from conftest import REALISTIC_DISTORTION, make_record, random_record
+from conftest import REALISTIC_DISTORTION, make_record, random_record, ref_layout_runs
 
 
 def _ref_frames_to_csv(frames):
@@ -177,7 +176,7 @@ def test_mixed_layout_amplitudes_match_reference(consts):
     records = [random_record(rng) for _ in range(60)]
     frames = [calibrate(r, consts) for r in records]
     assert len({f.amplitude_dbm.shape for f in frames}) > 3
-    runs = layout_runs(records)
+    runs = ref_layout_runs(records)
     assert any(run.stop - run.start > 1 for run in runs)
     text = frames_to_csv([calibrate(records[run], consts) for run in runs])
     assert text == _ref_frames_to_csv(frames)
