@@ -47,6 +47,7 @@ from .chipsim import (
     SweepResult,
     run_sweep,
     simulate_capture,
+    sweep_outputs,
 )
 from .autocontrol import (
     ControlAction,
@@ -88,6 +89,7 @@ __all__ = [
     "PhaseDistortion",
     "SweepResult",
     "simulate_capture",
+    "sweep_outputs",
     "run_sweep",
     "ControlSettings",
     "ControlAction",

@@ -25,7 +25,9 @@ class ControlSettings:
     balance_target_db is the spread the controller balances to when it has
     to act, tighter than the thresholds' reliable spread to leave margin
     for the ~2 dB RSSI estimation error.  max_iters bounds the steps of
-    closed_loop; below 1 it raises ConfigError when built.
+    closed_loop.  Both are checked when built: a max_iters below 1, or a
+    balance_target_db that is negative or NaN, which would attenuate the
+    weakest port or leave the action undefined, raises ConfigError.
     """
 
     balance_target_db: float = 3.0
@@ -34,6 +36,8 @@ class ControlSettings:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
+        if not self.balance_target_db >= 0:
+            raise ConfigError(f"balance_target_db must be >= 0, got {self.balance_target_db}")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ channels emerges from quantization alone, not from a hard-coded rule.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -17,14 +19,16 @@ import numpy as np
 
 from .errors import ConfigError
 from .ingest import CalibrationConstants, Capture, N_SUBCARRIERS
-from .powercalib import check_ratio_consistency
+from .powercalib import canonical_pairs, check_ratio_consistency, pair_label
 from .quality import (
     QualityThresholds,
     QualityVerdict,
     VariationStats,
     classify,
+    csv_cell,
     variation_stats,
 )
+from .svgchart import line_chart
 
 
 @dataclass(frozen=True)
@@ -325,3 +329,51 @@ def run_sweep(
         )
     return results
 
+
+def sweep_outputs(results: list[SweepResult]) -> dict[str, str]:
+    """The files of a sweep, by name: report.csv and its three SVG charts.
+
+    report.csv has one row per result, in order (docs/FORMATS.md), and
+    amp_std.svg, phase_std.svg and rssi_deviation.svg plot its columns
+    against each point's largest attenuation.  The results must share one
+    port count: an empty list, or one holding several port counts, raises
+    ConfigError.
+    """
+    port_counts = sorted({len(res.config.attenuation_db) for res in results})
+    if len(port_counts) != 1:
+        raise ConfigError(f"sweep outputs need results of one port count, got {port_counts}")
+    (n_rx,) = port_counts
+    ports = [f"port {p + 1}" for p in range(n_rx)]
+    pairs = [pair_label(pair) for pair in canonical_pairs(n_rx)]
+    values = [[*res.stats.port_amp_std_db(), *res.stats.pair_phase_std_deg(),
+               *res.rssi_deviation_db,
+               max(res.ratio_max_abs_db.values(), default=math.nan)] for res in results]
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(
+        ["index"]
+        + [f"attenuation_port{p + 1}_db" for p in range(n_rx)]
+        + [f"amp_std_port{p + 1}_db" for p in range(n_rx)]
+        + [f"phase_std_{label}_deg" for label in pairs]
+        + [f"rssi_deviation_port{p + 1}_db" for p in range(n_rx)]
+        + ["max_ratio_discrepancy_db", "verdict"]
+    )
+    for idx, (res, row) in enumerate(zip(results, values)):
+        writer.writerow([idx] + [f"{a:g}" for a in res.config.attenuation_db]
+                        + [csv_cell(v) for v in row] + [res.verdict.cls])
+    outputs = {"report.csv": buf.getvalue()}
+
+    # Each chart plots report columns, in order, against the largest attenuation.
+    xs = [max(res.config.attenuation_db) for res in results]
+    columns = iter(zip(*values))
+    for name, title, y_label, labels in (
+        ("amp_std.svg", "Amplitude STD vs attenuation", "amplitude STD (dB)", ports),
+        ("phase_std.svg", "Phase STD vs attenuation", "phase STD (deg)",
+         [f"pair {label}" for label in pairs]),
+        ("rssi_deviation.svg", "RSSI deviation vs attenuation", "deviation (dB)", ports),
+    ):
+        series = [(label, xs, [float(v) for v in next(columns)]) for label in labels]
+        outputs[name] = line_chart(
+            series, title=title, x_label="max attenuation (dB)", y_label=y_label)
+    return outputs

@@ -6,8 +6,6 @@ Exit codes: 0 success, 2 input/parse error, 3 domain error, 4 config error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -19,12 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .autocontrol import ControlSettings, closed_loop, estimate_losses, trajectory_to_jsonl
-from .chipsim import (
-    PhaseDistortion,
-    SimConfig,
-    run_sweep,
-    simulate_capture,
-)
+from .chipsim import PhaseDistortion, SimConfig, run_sweep, simulate_capture, sweep_outputs
 from .errors import ConfigError, CsiCalibError, SchemaError
 from .ingest import (
     CalibrationConstants,
@@ -36,9 +29,8 @@ from .ingest import (
     write_text_trace,
 )
 from .phase import differential_series, series_to_csv
-from .powercalib import calibrate, canonical_pairs, frames_to_csv, pair_label
-from .quality import QualityThresholds, classify, csv_cell, stats_to_csv, variation_stats
-from .svgchart import line_chart
+from .powercalib import calibrate, canonical_pairs, frames_to_csv
+from .quality import QualityThresholds, classify, stats_to_csv, variation_stats
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -152,9 +144,22 @@ def _typed(value, annotation, what: str):
     return value
 
 
-def _sim_config(obj: dict, seed_override: int | None) -> SimConfig:
-    seed = {} if seed_override is None else {"seed": seed_override}
-    return _dataclass_from(SimConfig, obj.get("sim", {}), "sim", **seed)
+def _sim_config(args) -> tuple[dict, SimConfig]:
+    """The config file of a simulation command, and its chain.
+
+    The seed is --seed, then the CSI_CALIB_SEED environment variable, then
+    the config's sim.seed.
+    """
+    obj = _load_json(args.config)
+    seed, env = {}, os.environ.get("CSI_CALIB_SEED")
+    if args.seed is not None:
+        seed = {"seed": args.seed}
+    elif env:
+        try:
+            seed = {"seed": int(env)}
+        except ValueError:
+            raise ConfigError(f"CSI_CALIB_SEED must be an integer, got {env!r}") from None
+    return obj, _dataclass_from(SimConfig, obj.get("sim", {}), "sim", **seed)
 
 
 def _distortion(obj: dict, n_rx: int) -> PhaseDistortion:
@@ -170,25 +175,6 @@ def _thresholds(obj: dict) -> QualityThresholds:
     return _dataclass_from(QualityThresholds, obj.get("thresholds", {}), "thresholds")
 
 
-def _resolve_seed(args) -> int | None:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("CSI_CALIB_SEED")
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"CSI_CALIB_SEED must be an integer, got {env!r}") from None
-
-
-def _write_manifest(args, seed: int | None) -> None:
-    """manifest.json in the out dir: every argument but --out, the seed used and the version."""
-    manifest = {**vars(args), "seed": seed, "tool_version": __version__}
-    out_dir = Path(manifest.pop("out"))
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
 def _read_trace(path: str):
     try:
         text = Path(path).read_bytes().decode("utf-8")
@@ -200,7 +186,8 @@ def _read_trace(path: str):
 
 
 # --- commands ----------------------------------------------------------------
-# Each returns the seed its run used, None if it draws no random numbers.
+# Each but parse writes its files into --out through write(name, text), and
+# returns the seed its run used, None if it draws no random numbers.
 
 def _cmd_parse(args) -> None:
     in_path, out_path = Path(args.in_path), Path(args.out)
@@ -210,7 +197,7 @@ def _cmd_parse(args) -> None:
         out_path.write_bytes(encode_binary_trace(_read_trace(args.in_path)))
 
 
-def _cmd_calibrate(args) -> None:
+def _cmd_calibrate(args, write) -> None:
     """amplitudes.csv, and phases.csv for a capture of two or more ports.
 
     Each stage drops what it no longer needs before the next one writes:
@@ -225,18 +212,16 @@ def _cmd_calibrate(args) -> None:
     records = _read_trace(args.in_path)
     n_rx = common_n_rx(records) if records else 0
     consts = CalibrationConstants(c_fixed=args.consts_c)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     frames = [calibrate(run, consts) for _, run in records.runs()]
-    (out_dir / "amplitudes.csv").write_text(frames_to_csv(frames))
+    write("amplitudes.csv", frames_to_csv(frames))
     del frames
     series = differential_series(records, canonical_pairs(n_rx))
     del records
     if series:
-        (out_dir / "phases.csv").write_text(series_to_csv(series))
+        write("phases.csv", series_to_csv(series))
 
 
-def _cmd_analyze(args) -> None:
+def _cmd_analyze(args, write) -> None:
     records = _read_trace(args.in_path)
     consts = CalibrationConstants(args.consts_c, args.agc_min, args.agc_max)
     _typed(args.tx_power, float | None, "--tx-power")
@@ -245,33 +230,25 @@ def _cmd_analyze(args) -> None:
     if args.tx_power is not None:
         losses = estimate_losses(stats.port_power_mean_dbm, args.tx_power)
     verdict = classify(stats, losses, QualityThresholds(), consts)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "stats.csv").write_text(stats_to_csv([(Path(args.in_path).name, stats)]))
-    (out_dir / "verdict.json").write_text(verdict.to_json() + "\n")
+    write("stats.csv", stats_to_csv([(Path(args.in_path).name, stats)]))
+    write("verdict.json", verdict.to_json() + "\n")
     if stats.n_records < 5:
         print("warning: fewer than 5 records; variance estimates are wide",
               file=sys.stderr)
 
 
-def _cmd_simulate(args) -> int:
-    obj = _load_json(args.config)
-    seed = _resolve_seed(args)
-    config = _sim_config(obj, seed)
+def _cmd_simulate(args, write) -> int:
+    obj, config = _sim_config(args)
     if not config.quantize:
         raise ConfigError("simulate writes a trace, whose CSI must be integer-valued: "
                           "quantize must be true")
     records = simulate_capture(config, _distortion(obj, len(config.attenuation_db)))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "trace.txt").write_text(write_text_trace(records))
+    write("trace.txt", write_text_trace(records))
     return config.seed
 
 
-def _cmd_sweep(args) -> int:
-    obj = _load_json(args.config)
-    seed = _resolve_seed(args)
-    base = _sim_config(obj, seed)
+def _cmd_sweep(args, write) -> int:
+    obj, base = _sim_config(args)
     n_rx = len(base.attenuation_db)
     rows = _typed(obj.get("sweep", []), tuple[tuple[float, ...], ...], "sweep")
     if not rows:
@@ -283,59 +260,20 @@ def _cmd_sweep(args) -> int:
                               f"of sim.attenuation_db, got {len(row)}")
     configs = [replace(base, attenuation_db=row) for row in rows]
     results = run_sweep(configs, _distortion(obj, n_rx), thresholds=_thresholds(obj))
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    ports = [f"port {p + 1}" for p in range(n_rx)]
-    pairs = [pair_label(pair) for pair in canonical_pairs(n_rx)]
-    values = [[*res.stats.port_amp_std_db(), *res.stats.pair_phase_std_deg(),
-               *res.rssi_deviation_db,
-               max(res.ratio_max_abs_db.values(), default=math.nan)] for res in results]
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["index"]
-        + [f"attenuation_port{p + 1}_db" for p in range(n_rx)]
-        + [f"amp_std_port{p + 1}_db" for p in range(n_rx)]
-        + [f"phase_std_{label}_deg" for label in pairs]
-        + [f"rssi_deviation_port{p + 1}_db" for p in range(n_rx)]
-        + ["max_ratio_discrepancy_db", "verdict"]
-    )
-    for idx, (res, row) in enumerate(zip(results, values)):
-        writer.writerow([idx] + [f"{a:g}" for a in res.config.attenuation_db]
-                        + [csv_cell(v) for v in row] + [res.verdict.cls])
-    (out_dir / "report.csv").write_text(buf.getvalue())
-
-    # Each chart plots report columns, in order, against the largest attenuation.
-    xs = [max(res.config.attenuation_db) for res in results]
-    columns = iter(zip(*values))
-    for name, title, y_label, labels in (
-        ("amp_std.svg", "Amplitude STD vs attenuation", "amplitude STD (dB)", ports),
-        ("phase_std.svg", "Phase STD vs attenuation", "phase STD (deg)",
-         [f"pair {label}" for label in pairs]),
-        ("rssi_deviation.svg", "RSSI deviation vs attenuation", "deviation (dB)", ports),
-    ):
-        series = [(label, xs, [float(v) for v in next(columns)]) for label in labels]
-        (out_dir / name).write_text(line_chart(
-            series, title=title, x_label="max attenuation (dB)", y_label=y_label))
+    for name, text in sweep_outputs(results).items():
+        write(name, text)
     return base.seed
 
 
-def _cmd_control(args) -> int:
-    obj = _load_json(args.config)
-    seed = _resolve_seed(args)
-    config = _sim_config(obj, seed)
+def _cmd_control(args, write) -> int:
+    obj, config = _sim_config(args)
     steps = closed_loop(
         config,
         _distortion(obj, len(config.attenuation_db)),
         settings=_dataclass_from(ControlSettings, obj.get("control", {}), "control"),
         thresholds=_thresholds(obj),
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "trajectory.jsonl").write_text(trajectory_to_jsonl(steps))
+    write("trajectory.jsonl", trajectory_to_jsonl(steps))
     return config.seed
 
 
@@ -350,11 +288,25 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command.  Every command but parse, whose --out is a file, writes
+    into the directory --out, and once it succeeds writes manifest.json there:
+    every argument but --out, the seed used and the version."""
     args = _build_parser().parse_args(argv)
+    out_dir = Path(args.out)
+
+    def write(name: str, text: str) -> None:
+        """Write the file name into --out, which the first call makes."""
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / name).write_text(text)
+
     try:
-        seed = _COMMANDS[args.command](args)
-        if args.command != "parse":
-            _write_manifest(args, seed)
+        if args.command == "parse":
+            _COMMANDS["parse"](args)
+        else:
+            seed = _COMMANDS[args.command](args, write)
+            manifest = {**vars(args), "seed": seed, "tool_version": __version__}
+            del manifest["out"]
+            write("manifest.json", json.dumps(manifest, indent=2) + "\n")
     except CsiCalibError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

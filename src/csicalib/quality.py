@@ -43,7 +43,8 @@ class QualityThresholds:
     ports under 10 dB.  Past spread_unmeasurable_db the weak port's CSI is
     zero, and a port with more than zero_fraction_max of its entries
     without a reading is unmeasurable.  The thresholds are checked when
-    built, dataclasses.replace included: spread_reliable_db above
+    built, dataclasses.replace included: a NaN loss or spread, since every
+    comparison with NaN is false, spread_reliable_db above
     spread_unmeasurable_db, or a zero_fraction_max outside [0, 1], raises
     ConfigError.
     """
@@ -54,6 +55,9 @@ class QualityThresholds:
     zero_fraction_max: float = 0.5
 
     def __post_init__(self):
+        for name in ("max_loss_db", "spread_reliable_db", "spread_unmeasurable_db"):
+            if math.isnan(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number, got NaN")
         if not self.spread_reliable_db <= self.spread_unmeasurable_db:
             raise ConfigError("spread_reliable_db must not exceed spread_unmeasurable_db")
         if not 0.0 <= self.zero_fraction_max <= 1.0:

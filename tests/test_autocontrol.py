@@ -175,6 +175,18 @@ def test_control_settings_out_of_range_raise_when_built(max_iters):
         replace(ControlSettings(), max_iters=max_iters)
 
 
+@pytest.mark.parametrize("target", [-5.0, -1e-9, math.nan])
+def test_negative_or_nan_balance_target_raises_when_built(target):
+    # -5 made recommend([30, 30, 50]) add (25, 25, 5) dB, attenuating the
+    # weakest port, and NaN raised a bare ValueError from math.ceil.
+    with pytest.raises(ConfigError, match="balance_target_db must be >= 0"):
+        ControlSettings(balance_target_db=target)
+    with pytest.raises(ConfigError, match="balance_target_db must be >= 0"):
+        replace(ControlSettings(), balance_target_db=target)
+    action = recommend([30, 30, 50], ControlSettings(balance_target_db=0.0))
+    assert action.added_attenuation_db == (20.0, 20.0, 0.0)
+
+
 def test_recommend_is_never_handed_inconsistent_thresholds():
     with pytest.raises(ConfigError, match="spread_reliable_db must not exceed"):
         recommend([30, 30, 38], thresholds=QualityThresholds(spread_reliable_db=40.0))

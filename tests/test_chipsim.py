@@ -15,6 +15,7 @@ from csicalib import (
     encode_binary_trace,
     run_sweep,
     simulate_capture,
+    sweep_outputs,
     variation_stats,
 )
 from csicalib.errors import ConfigError
@@ -248,6 +249,18 @@ def test_config_validation():
     # Thresholds that would class a 5 dB spread unmeasurable cannot be built.
     with pytest.raises(ConfigError, match="spread_reliable_db must not exceed"):
         run_sweep([BALANCED], thresholds=QualityThresholds(spread_unmeasurable_db=5.0))
+
+
+def test_sweep_outputs_need_results_of_one_port_count():
+    with pytest.raises(ConfigError, match=re.escape("one port count, got []")):
+        sweep_outputs([])
+    configs = [SimConfig(attenuation_db=(30.0,) * n, n_packets=5) for n in (3, 1, 2)]
+    results = run_sweep(configs)
+    with pytest.raises(ConfigError, match=re.escape("one port count, got [1, 2, 3]")):
+        sweep_outputs(results)
+    for n_rx, res in zip((3, 1, 2), results):
+        header = sweep_outputs([res])["report.csv"].splitlines()[0].split(",")
+        assert len(header) == 3 + 3 * n_rx + len(res.stats.pairs)
 
 
 @pytest.mark.parametrize("delta_deg", [(40.0,), (0.0, 40.0)])

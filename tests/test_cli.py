@@ -16,7 +16,9 @@ from csicalib import (
     encode_binary_trace,
     estimate_losses,
     parse_text_trace,
+    run_sweep,
     simulate_capture,
+    sweep_outputs,
     variation_stats,
     write_text_trace,
 )
@@ -385,6 +387,20 @@ def test_sweep_outputs(tmp_path):
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
 
+def test_sweep_writes_the_sweep_outputs_of_its_chains(tmp_path):
+    rows = [(33.0, 30.0, 36.0), (66.0, 66.0, 66.0)]
+    cfg = _write_config(tmp_path, {"sweep": rows})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
+    base = SimConfig(attenuation_db=rows[0], n_packets=20, seed=5)
+    results = run_sweep([replace(base, attenuation_db=row) for row in rows], REALISTIC_DISTORTION)
+    outputs = sweep_outputs(results)
+    assert list(outputs) == ["report.csv", "amp_std.svg", "phase_std.svg", "rssi_deviation.svg"]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json"])
+    for name, text in outputs.items():
+        assert (out / name).read_bytes() == text.encode(), name
+
+
 def test_sweep_report_leaves_every_missing_value_empty(tmp_path):
     # Ports 2 and 3 at 90 dB read no CSI at all and RSSI 0.
     cfg = tmp_path / "config.json"
@@ -626,6 +642,7 @@ _CHAIN_RANGE = "chain values put a linear power or the count scale beyond the fl
      "zero_fraction_max must lie in [0, 1]"),
     ("control", {"thresholds": {"zero_fraction_max": -0.1}},
      "zero_fraction_max must lie in [0, 1]"),
+    ("control", {"control": {"balance_target_db": -5}}, "balance_target_db must be >= 0, got -5"),
 ])
 def test_config_value_out_of_range_is_config_error(tmp_path, capsys, command, extra, message):
     cfg = _write_config(tmp_path, extra)

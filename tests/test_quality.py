@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -155,6 +156,10 @@ _THRESHOLDS_OUT_OF_RANGE = [
      "spread_reliable_db must not exceed spread_unmeasurable_db"),
     ({"zero_fraction_max": 1.5}, "zero_fraction_max must lie in [0, 1]"),
     ({"zero_fraction_max": -0.1}, "zero_fraction_max must lie in [0, 1]"),
+    # A NaN ceiling used to class every loss Reliable, since no loss exceeds NaN.
+    ({"max_loss_db": math.nan}, "max_loss_db must be a number, got NaN"),
+    ({"spread_reliable_db": math.nan}, "spread_reliable_db must be a number, got NaN"),
+    ({"spread_unmeasurable_db": math.nan}, "spread_unmeasurable_db must be a number, got NaN"),
 ]
 
 
