@@ -108,57 +108,103 @@ class RawCsiRecord:
         return [p for p in range(self.n_rx) if self.rssi[p] != 0]
 
     def validate(self) -> None:
-        self._validate_header()
-        _validate_csi(self.csi)
+        """Raise InvariantViolation with the message of the record's first fault.
 
-    def _validate_header(self) -> None:
-        """Every check of validate() but those on the CSI values."""
-        # Python ints only, as the text parser reads them: a float or a
-        # numpy integer would fail later, in struct or json.
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
+        The checks, in docs/FORMATS.md's "Record checks and their order",
+        are those the writers run on every record they write.
+        """
+        for _ in _checked([self]):
+            pass
+
+
+def _record_fault(record: RawCsiRecord) -> str | None:
+    """The message of the first check that only a record, not an array, can fail.
+
+    The header values and the rssi and antenna_perm entries must be Python
+    ints, as the text parser reads them: a float or a numpy integer would
+    fail later, in struct or json.  rssi and antenna_perm must hold three
+    values, and the csi must have the shape of n_rx and n_tx.  None if the
+    record passes.
+    """
+    for name in _INT_FIELDS:
+        value = getattr(record, name)
+        if type(value) is not int:
+            return f"{name} must be an int, got {type(value).__name__}"
+    for name, rule in (("rssi", 4), ("antenna_perm", 8)):
+        if len(values := getattr(record, name)) != 3:  # breaks the rule on the range of its values
+            return _HEADER_RULES[rule][0]
+        for value in values:
             if type(value) is not int:
-                raise InvariantViolation(f"{name} must be an int, got {type(value).__name__}")
-        for name in ("rssi", "antenna_perm"):
-            for value in getattr(self, name):
-                if type(value) is not int:
-                    raise InvariantViolation(
-                        f"{name} entries must be ints, got {type(value).__name__}")
-        if self.csi.shape != (N_SUBCARRIERS, self.n_rx, self.n_tx):
-            raise InvariantViolation(f"csi shape {self.csi.shape} does not match "
-                                     f"(30, {self.n_rx}, {self.n_tx})")
-        if not (1 <= self.n_rx <= 3 and 1 <= self.n_tx <= 3):
-            raise InvariantViolation("n_rx and n_tx must be in 1..3")
-        if not (0 <= self.timestamp_low < 2 ** 32):
-            raise InvariantViolation("timestamp_low out of u32 range")
-        if not (0 <= self.bfee_count < 2 ** 16):
-            raise InvariantViolation("bfee_count out of u16 range")
-        if not (0 <= self.rate_flags < 2 ** 16):
-            raise InvariantViolation("rate_flags out of u16 range")
-        if len(self.rssi) != 3 or not (0 <= min(self.rssi) and max(self.rssi) <= 255):
-            raise InvariantViolation("rssi must be three values in 0..255")
-        if any(self.rssi[self.n_rx:]):
-            raise InvariantViolation("rssi of absent ports must be exactly 0")
-        if not (-128 <= self.noise <= 127):
-            raise InvariantViolation("noise out of i8 range")
-        if not (0 <= self.agc <= 255):
-            raise InvariantViolation("agc out of u8 range")
-        if len(self.antenna_perm) != 3 or not (
-            0 <= min(self.antenna_perm) and max(self.antenna_perm) <= 3
-        ):
-            raise InvariantViolation("antenna_perm must be three 2-bit values")
-        if sorted(self.antenna_perm[: self.n_rx]) != list(range(self.n_rx)):
-            raise InvariantViolation("antenna_perm prefix is not a permutation")
+                return f"{name} entries must be ints, got {type(value).__name__}"
+    if record.csi.shape != (N_SUBCARRIERS, record.n_rx, record.n_tx):
+        return (f"csi shape {record.csi.shape} does not match "
+                f"(30, {record.n_rx}, {record.n_tx})")
 
 
-def _validate_csi(csi: np.ndarray) -> None:
-    """The CSI checks of RawCsiRecord.validate, on one csi or a stack of them."""
-    # Rounding a complex array rounds both parts; NaN never compares equal.
-    if not (csi == np.round(csi)).all():
-        raise InvariantViolation("csi components must be integer-valued")
-    real, imag = csi.real, csi.imag
-    if min(real.min(), imag.min()) < -128 or max(real.max(), imag.max()) > 127:
-        raise InvariantViolation("csi components must lie in [-128, 127]")
+# --- record rules --------------------------------------------------------------
+#
+# A (T, 13) header holds one row of values per record, in _TEXT_FIELDS order
+# with rssi and antenna_perm as three columns each.
+
+#: The range of each header column.
+_LOW = np.array((0, 0, 1, 1, 0, 0, 0, -128, 0, 0, 0, 0, 0))
+_HIGH = np.array((2**32 - 1, 2**16 - 1, 3, 3, 255, 255, 255, 127, 255, 3, 3, 3, 2**16 - 1))
+
+#: The header rules of a record, in the order they are checked: each
+#: message, and the columns of _header_faults' fault matrix that break it.
+#: Columns 0..12 hold a header column out of its range, 13 a non-zero rssi
+#: past n_rx and 14 a first n_rx antenna_perm entries that are not a
+#: permutation of 0..n_rx-1.  The last two read n_rx and antenna_perm,
+#: which are valid only in rows that pass the rules on their ranges, so
+#: those come first.
+_HEADER_RULES = (
+    ("n_rx and n_tx must be in 1..3", [2, 3]),
+    ("timestamp_low out of u32 range", [0]),
+    ("bfee_count out of u16 range", [1]),
+    ("rate_flags out of u16 range", [12]),
+    ("rssi must be three values in 0..255", [4, 5, 6]),
+    ("rssi of absent ports must be exactly 0", [13]),
+    ("noise out of i8 range", [7]),
+    ("agc out of u8 range", [8]),
+    ("antenna_perm must be three 2-bit values", [9, 10, 11]),
+    ("antenna_perm prefix is not a permutation", [14]),
+)
+
+#: The CSI rules of a record, checked after its header rules: each message,
+#: and its column of _csi_faults' fault matrix.
+_CSI_RULES = (("csi components must be integer-valued", [0]),
+              ("csi components must lie in [-128, 127]", [1]))
+
+
+def _first_fault(broken: np.ndarray, rules) -> tuple[int, str] | None:
+    """(row, message) of the first row of a (T, k) fault matrix with a fault.
+
+    The message is that of the first of rules whose columns hold a fault
+    in that row; None if no row has one.
+    """
+    if not broken.any():
+        return None
+    row = int(broken.any(axis=1).argmax())
+    return row, next(message for message, cols in rules if broken[row, cols].any())
+
+
+def _header_faults(h: np.ndarray) -> tuple[int, str] | None:
+    """(row, message) of the first row of a (T, 13) header that breaks a header rule."""
+    past = np.arange(3) >= h[:, 2:3]  # the ports past n_rx
+    # The first n_rx entries of antenna_perm are a permutation of 0..n_rx-1
+    # exactly when they cover those n_rx values.
+    covered = np.bitwise_or.reduce(np.where(past, 0, 1 << h[:, 9:12]), axis=1)
+    return _first_fault(np.column_stack([(h < _LOW) | (h > _HIGH),
+                                         (past & (h[:, 4:7] != 0)).any(axis=1),
+                                         covered != (1 << h[:, 2]) - 1]), _HEADER_RULES)
+
+
+def _csi_faults(csi: np.ndarray) -> tuple[int, str] | None:
+    """(index, message) of the first record of a (B, 30, n_rx, n_tx) stack that breaks a CSI rule."""
+    # Each record's real and imaginary parts in a row; NaN never compares equal.
+    parts = np.ascontiguousarray(csi, dtype=complex).view(float).reshape(len(csi), -1)
+    broken = (parts != np.rint(parts), (parts < -128) | (parts > 127))
+    return _first_fault(np.column_stack([b.any(axis=1) for b in broken]), _CSI_RULES)
 
 
 #: The header columns of a Capture, in field order.
@@ -304,37 +350,43 @@ def _checked(records: Capture | list[RawCsiRecord]):
     The header has one column per value of a text line, in _TEXT_FIELDS
     order (rssi and antenna_perm three each).  Then (n_rx, n_tx, rows, csi)
     is yielded for each layout: the indices of its records, and their csi
-    stacked.  The records of a list pass _validate_header before they are
-    stacked, since their columns no longer show a value's Python type.  The
-    columns then pass the checks of validate() as arrays: every header at
-    once, the CSI one layout at a time.  On any fault every record is
-    validated in order, so the first faulty record raises the error its
-    validate() raises, even if layouts were already yielded.
+    stacked.  Each check runs once over the capture and keeps the first
+    fault it finds: _record_fault up to the first record that fails it,
+    then the header rules over the header of the records before that one,
+    then the CSI rules one layout at a time.  Once a fault is found nothing
+    more is yielded, and after the last layout the fault of the first
+    faulty record raises InvariantViolation: the error its validate()
+    raises.
     """
-    try:
-        if not isinstance(records, Capture):
-            for record in records:
-                record._validate_header()
-        capture = as_capture(records)
-        layout = capture.layout()
-        header = np.column_stack([capture.timestamp_low, capture.bfee_count, layout, capture.rssi,
-                                  capture.noise, capture.agc, capture.antenna_perm,
-                                  capture.rate_flags]) if len(capture) else np.empty((0, 13), int)
-        if not (header.dtype.kind == "i" and _headers_valid(header)
-                and all(csi.shape[1] == N_SUBCARRIERS for csi in capture.parts)):
-            raise InvariantViolation("a record fails validate()")
+    suspects = range(len(records))
+    if isinstance(records, Capture):
+        # A column's dtype is the type of each row's value, and a part's
+        # shape each row's csi shape.
+        suspects = [] if {getattr(records, name).dtype.kind for name in _COLUMNS} <= {"i", "u"} else [0]
+        suspects += [rows.start for rows, csi in records.blocks() if csi.shape[1] != N_SUBCARRIERS]
+    fault = next(((t, m) for t in suspects if (m := _record_fault(records[t]))), None)
+    capture = as_capture(records[: fault[0]] if fault else records)
+    # Python ints past int64 leave a list's columns of another dtype.  Bounded
+    # to -129..2**32, which holds every rule's range, a value breaks the rules
+    # it broke.  Columns of no record stack to (0, 9).
+    columns = [capture.timestamp_low, capture.bfee_count, capture.layout(), capture.rssi,
+               capture.noise, capture.agc, capture.antenna_perm, capture.rate_flags]
+    header = np.column_stack(columns).reshape(-1, 13).clip(-129, 2**32).astype(np.int64, copy=False)
+    fault = _header_faults(header) or fault
+    if fault is None:
         yield header
-        parts: dict[tuple, list[np.ndarray]] = {}
-        for csi in capture.parts:
-            parts.setdefault(csi.shape[2:], []).append(csi)
-        for (n_rx, n_tx), same in parts.items():
-            csi = np.concatenate(same) if len(same) > 1 else same[0]
-            _validate_csi(csi)
-            yield n_rx, n_tx, np.flatnonzero((layout == (n_rx, n_tx)).all(axis=1)), csi
-    except Exception:  # whatever failed, validate() names the first faulty record
-        for record in records:
-            record.validate()
-        raise
+    same_layout: dict[tuple, list[np.ndarray]] = {}
+    for csi in capture.parts:
+        same_layout.setdefault(csi.shape[2:], []).append(csi)
+    for (n_rx, n_tx), same in same_layout.items():
+        csi = np.concatenate(same) if len(same) > 1 else same[0]
+        rows = np.flatnonzero((header[:, 2:4] == (n_rx, n_tx)).all(axis=1))
+        if (csi_fault := _csi_faults(csi)) and (fault is None or rows[csi_fault[0]] < fault[0]):
+            fault = int(rows[csi_fault[0]]), csi_fault[1]
+        if fault is None:
+            yield n_rx, n_tx, rows, csi
+    if fault:
+        raise InvariantViolation(fault[1])
 
 
 # --- binary format -----------------------------------------------------------
@@ -644,25 +696,6 @@ def _csi_numbers_valid(numbers: bytes) -> bool:
     )
 
 
-def _headers_valid(h: np.ndarray) -> bool:
-    """Whether (B, 13) header values pass every check of _validate_header.
-
-    Columns in _TEXT_FIELDS order, rssi and antenna_perm as three each.
-    """
-    low = (0, 0, 1, 1, 0, 0, 0, -128, 0, 0, 0, 0, 0)
-    high = (2**32 - 1, 2**16 - 1, 3, 3, 255, 255, 255, 127, 255, 3, 3, 3, 2**16 - 1)
-    if not ((low <= h) & (h <= high)).all():
-        return False
-    n_rx = h[:, 2:3]
-    past = np.arange(3) >= n_rx
-    if h[:, 4:7][past].any():  # rssi of absent ports
-        return False
-    # antenna_perm's first n_rx entries are a permutation of 0..n_rx-1
-    # exactly when they cover those n_rx values.
-    bits = np.where(past, 0, 1 << h[:, 9:12])
-    return bool((np.bitwise_or.reduce(bits, axis=1) == (1 << n_rx[:, 0]) - 1).all())
-
-
 def _from_canonical_block(lines: list[str]) -> Capture | None:
     """The Capture of lines in write_text_trace's form.
 
@@ -670,9 +703,9 @@ def _from_canonical_block(lines: list[str]) -> Capture | None:
     or if any check fails.
     Per line, the head regular expression reads the header values and one
     bytes.translate checks where the brackets and commas of the CSI body
-    lie.  Once for all lines, an array of the header values passes every
-    check of validate(), a byte check passes each CSI number, one
-    np.fromstring call reads them all, and one check bounds their range.
+    lie.  Once for all lines, an array of the header values passes the
+    header rules, a byte check passes each CSI number, one np.fromstring
+    call reads them all, and they pass the CSI rules.
     """
     head = _canonical_head()
     headers, bodies = [], []
@@ -701,15 +734,13 @@ def _from_canonical_block(lines: list[str]) -> Capture | None:
     numbers = b",".join([b"", *bodies, b""]).replace(b"],[", b",")
     del bodies
     header = np.array(headers, dtype=np.int64)
-    if not (_headers_valid(header) and _csi_numbers_valid(numbers)):
+    if _header_faults(header) or not _csi_numbers_valid(numbers):
         return None
     # Only short integers joined by ',' are left, so numpy's lenient number
     # reader never sees a malformed or trailing item.
-    values = np.fromstring(numbers[1:-1], dtype=np.int64, sep=",")
+    csi = np.fromstring(numbers[1:-1], dtype=np.int64, sep=",").astype(float).view(complex)
     del numbers
-    if values.min() < -128 or values.max() > 127:
-        return None
-    return _capture_of(header, values.astype(np.float64).view(np.complex128))
+    return None if _csi_faults(csi[None]) else _capture_of(header, csi)
 
 
 def _from_json_line(line: str, lineno: int) -> Capture:

@@ -34,6 +34,19 @@ _PRECEDENCE = (
 )
 
 
+def _reject_nan(settings, *names: str) -> None:
+    """Raise ConfigError naming the first of the fields names that holds a NaN.
+
+    Each field of settings is a number, a sequence of numbers, or None,
+    which passes.  Every comparison with NaN is false, so a NaN would pass
+    the check of a range.
+    """
+    for name in names:
+        # NaN is the one value that is not equal to itself.
+        if any(value != value for value in np.ravel(getattr(settings, name))):
+            raise ConfigError(f"{name} must be a number, got NaN")
+
+
 @dataclass(frozen=True)
 class QualityThresholds:
     """The limits a capture is classified against.
@@ -55,9 +68,7 @@ class QualityThresholds:
     zero_fraction_max: float = 0.5
 
     def __post_init__(self):
-        for name in ("max_loss_db", "spread_reliable_db", "spread_unmeasurable_db"):
-            if math.isnan(getattr(self, name)):
-                raise ConfigError(f"{name} must be a number, got NaN")
+        _reject_nan(self, "max_loss_db", "spread_reliable_db", "spread_unmeasurable_db")
         if not self.spread_reliable_db <= self.spread_unmeasurable_db:
             raise ConfigError("spread_reliable_db must not exceed spread_unmeasurable_db")
         if not 0.0 <= self.zero_fraction_max <= 1.0:

@@ -338,6 +338,32 @@ def test_reading_a_capture_builds_no_record(built, consts):
     assert built[0] == 0
 
 
+def test_a_faulty_capture_raises_its_earliest_fault_across_layouts(built):
+    # A header fault in a later row of one layout and a CSI fault in an
+    # earlier row of another: the earlier row's error, whichever layout is
+    # checked first, found without building a record per row.
+    records = _mixed_records(300)
+    layout = as_capture(records).layout()
+    early = int(np.flatnonzero((layout != layout[0]).any(axis=1))[0]) + 1
+    late = int(np.flatnonzero((layout == layout[0]).all(axis=1))[-1])
+    assert early < late and tuple(layout[early]) != tuple(layout[late])
+    records[early].csi[0, 0, 0] = 1.5
+    records[late].noise = 200
+    capture = as_capture(records)
+    built[0] = 0
+    for writer in (write_text_trace, encode_binary_trace):
+        with pytest.raises(InvariantViolation, match="csi components must be integer-valued"):
+            writer(capture)
+    assert built[0] == 0
+    records[early].csi[0, 0, 0] = 1.0
+    records[early].rate_flags = -1
+    records[late].csi[0, 0, 0] = 300
+    for writer in (write_text_trace, encode_binary_trace):
+        with pytest.raises(InvariantViolation, match="rate_flags out of u16 range"):
+            writer(as_capture(records))
+    assert built[0] == 0
+
+
 def test_a_faulty_capture_raises_its_first_faulty_records_error():
     records = _mixed_records(200)
     records[150].csi[0, 0, 0] = 200

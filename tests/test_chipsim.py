@@ -13,6 +13,7 @@ from csicalib import (
     SimConfig,
     differential_series,
     encode_binary_trace,
+    recommend,
     run_sweep,
     simulate_capture,
     sweep_outputs,
@@ -225,6 +226,13 @@ _OUT_OF_RANGE = [
     ({"multipath": (MultipathTap(gain=0.0),)}, "multipath taps cancel to a zero channel"),
     ({"multipath": (MultipathTap(gain=2.0), MultipathTap(gain=-2.0))},
      "multipath taps cancel to a zero channel"),
+    # A NaN passes every comparison: each used to build, then fail in
+    # simulate_capture, and adc_ref_amplitude=0 simulated all-zero CSI.
+    ({"tx_power_dbm": math.nan}, "tx_power_dbm must be a number, got NaN"),
+    ({"noise_floor_dbm": math.nan}, "noise_floor_dbm must be a number, got NaN"),
+    ({"attenuation_db": (30.0, math.nan, 30.0)}, "attenuation_db must be a number, got NaN"),
+    ({"adc_ref_amplitude": 0.0}, "adc_ref_amplitude must be > 0, got 0.0"),
+    ({"adc_ref_amplitude": -30.0}, "adc_ref_amplitude must be > 0, got -30.0"),
 ]
 
 
@@ -234,6 +242,20 @@ def test_config_out_of_range_raises_when_built(values, message):
         SimConfig(**values)
     with pytest.raises(ConfigError, match=re.escape(message)):
         replace(BALANCED, **values)
+
+
+@pytest.mark.parametrize("field", ["gain", "phase_deg", "delay_slope_deg"])
+def test_a_nan_multipath_tap_raises_when_built(field):
+    with pytest.raises(ConfigError, match=f"{field} must be a number, got NaN"):
+        MultipathTap(**{field: math.nan})
+
+
+def test_a_nan_chain_is_refused_before_recommend():
+    # recommend used to add (0, 0, 0) dB on a chain with a NaN transmit
+    # power, where the default chain adds (19, 19, 19).
+    assert recommend([10, 10, 10], chain=SimConfig()).added_attenuation_db == (19.0, 19.0, 19.0)
+    with pytest.raises(ConfigError, match="tx_power_dbm must be a number, got NaN"):
+        recommend([10, 10, 10], chain=SimConfig(tx_power_dbm=math.nan))
 
 
 def test_a_channel_past_the_float_range_raises_when_simulated():
