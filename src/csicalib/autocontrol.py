@@ -9,13 +9,14 @@ so strong that the adaptive gain would pin at its minimum.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError, InsufficientPorts
 from .chipsim import PhaseDistortion, SimConfig, simulate_capture
-from .quality import (QualityThresholds, QualityVerdict, _as_losses, classify,
-                      classify_losses, variation_stats)
+from .quality import (QualityThresholds, QualityVerdict, _as_losses, _loss_checks,
+                      _most_severe, classify, classify_losses, variation_stats)
 
 
 @dataclass(frozen=True)
@@ -65,26 +66,26 @@ def recommend(
 ) -> ControlAction:
     """Per-port attenuation additions that balance the channels.
 
-    The loss ceiling and the acceptable spread are those of thresholds, and
-    predicted_class is classify_losses under them.  chain is the receiver
-    chain the losses were measured on; its AGC floor sets the smallest loss
-    a port is left with.  Losses of None or infinity mean the port could
-    not be measured.  The weakest channel can never be helped by adding
-    attenuation, so any loss above the ceiling makes the action infeasible
-    (zero adjustments).
+    The action is decided by the verdict's loss checks under thresholds,
+    those of classify_losses.  An unmeasured port (a loss of None or
+    infinity) or a loss above the ceiling makes the action infeasible under
+    any thresholds, since the weakest channel can never be helped by adding
+    attenuation: it adds nothing and predicts the class of the losses.
+    When no check triggers and no port sits below the AGC floor of chain,
+    the chain the losses were measured on, the action is zero and predicts
+    Reliable.  Otherwise every port is lifted to a common floor, and
+    predicted_class is the class of the balanced losses.
     """
     losses = _as_losses(est_port_loss_db)
     if len(losses) < 2:
         raise InsufficientPorts("need loss estimates for at least two ports")
 
+    checks = _loss_checks(losses, thresholds)
     zero = (0.0,) * len(losses)
-    if max(losses) > thresholds.max_loss_db:
-        return ControlAction(zero, feasible=False,
-                             predicted_class=classify_losses(losses, thresholds))
-
-    spread = max(losses) - min(losses)
+    if any(map(math.isinf, losses)) or any(cls == "Unstable" for cls, _ in checks):
+        return ControlAction(zero, feasible=False, predicted_class=_most_severe(checks))
     agc_floor = chain.agc_floor_loss_db()
-    if spread <= thresholds.spread_reliable_db and min(losses) >= agc_floor:
+    if not checks and min(losses) >= agc_floor:
         return ControlAction(zero, feasible=True, predicted_class="Reliable")
 
     # Lift every port to a common floor: within balance_target_db of the
@@ -122,12 +123,13 @@ def closed_loop(
     The chain (transmit power, ADC target, AGC clamps, C) is initial's
     throughout, since the loop changes only attenuations and seeds.
     Loss estimates come only from the measured RSSI, never from the
-    configured attenuations.  thresholds decide both the verdict of each
-    step and the ceiling and spread that recommend balances to.  The loop
-    stops on a Reliable verdict, an infeasible or empty action, or
-    settings.max_iters steps.  The settings, the thresholds and each
-    step's SimConfig are checked when built, so the loop itself checks
-    nothing.
+    configured attenuations.  thresholds decide the verdict of each step,
+    and recommend decides the action through the same loss checks, so a
+    port the capture could not measure makes the action infeasible.  A
+    Reliable verdict takes the zero action.  The loop stops on an
+    infeasible or zero action or after settings.max_iters steps.  The
+    settings, the thresholds and each step's SimConfig are checked when
+    built, so the loop itself checks nothing.
     """
     consts = initial.calibration_constants()
     config = initial
@@ -136,13 +138,8 @@ def closed_loop(
         stats = variation_stats(simulate_capture(config, distortion), consts)
         est = estimate_losses(stats.port_power_mean_dbm, config.tx_power_dbm)
         verdict = classify(stats, est, thresholds, consts)
-        if verdict.cls == "Reliable":
-            action = ControlAction(
-                (0.0,) * len(est), feasible=True, predicted_class="Reliable"
-            )
-            steps.append(LoopStep(iteration, config, est, verdict, action))
-            break
-        action = recommend(est, settings, config, thresholds)
+        action = (ControlAction((0.0,) * len(est), feasible=True, predicted_class="Reliable")
+                  if verdict.cls == "Reliable" else recommend(est, settings, config, thresholds))
         steps.append(LoopStep(iteration, config, est, verdict, action))
         if not action.feasible or action.is_zero():
             break
@@ -158,22 +155,10 @@ def closed_loop(
 
 
 def trajectory_to_jsonl(steps: list[LoopStep]) -> str:
-    import json
-
-    lines = []
-    for step in steps:
-        lines.append(
-            json.dumps(
-                {
-                    "iteration": step.iteration,
-                    "attenuation_db": list(step.config.attenuation_db),
-                    "estimated_loss_db": [
-                        None if math.isinf(l) else l for l in step.estimated_loss_db
-                    ],
-                    "verdict": step.verdict.cls,
-                    "action": step.action.to_obj(),
-                },
-                separators=(",", ":"),
-            )
-        )
-    return "".join(line + "\n" for line in lines)
+    return "".join(json.dumps({
+        "iteration": step.iteration,
+        "attenuation_db": list(step.config.attenuation_db),
+        "estimated_loss_db": [None if math.isinf(l) else l for l in step.estimated_loss_db],
+        "verdict": step.verdict.cls,
+        "action": step.action.to_obj(),
+    }, separators=(",", ":")) + "\n" for step in steps)

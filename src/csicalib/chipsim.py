@@ -35,15 +35,15 @@ from .svgchart import line_chart
 @dataclass(frozen=True)
 class MultipathTap:
     """One propagation path: linear gain, phase offset, and a per-subcarrier
-    phase slope standing in for the path delay.  A NaN value raises
-    ConfigError when the tap is built."""
+    phase slope standing in for the path delay.  A value that is not finite
+    (NaN or an infinity) raises ConfigError when the tap is built."""
 
     gain: float = 1.0
     phase_deg: float = 0.0
     delay_slope_deg: float = 0.0
 
     def __post_init__(self):
-        _reject_nan(self, "gain", "phase_deg", "delay_slope_deg")
+        _reject_nan(self, "gain", "phase_deg", "delay_slope_deg", finite=True)
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,11 @@ class SimConfig:
     for this chain.
 
     A SimConfig is checked when it is built, dataclasses.replace included:
-    values out of range, a NaN power or loss, an adc_ref_amplitude not
-    above 0, a chain whose linear powers or count scale leave the float
-    range, and multipath taps that cancel to a zero channel raise
-    ConfigError.
+    values out of range, a NaN power or loss, a tx_power_dbm that is not
+    finite, an adc_ref_amplitude not above 0, a chain whose linear powers
+    or count scale leave the float range, and multipath taps that cancel
+    to a zero channel raise ConfigError.  An infinite attenuation, a port
+    that reads nothing, and a noise_floor_dbm of -inf simulate.
     """
 
     tx_power_dbm: float = -3.0
@@ -88,7 +89,8 @@ class SimConfig:
             raise ConfigError("attenuation_db needs 1 to 3 entries")
         if len(self.multipath) < 1:
             raise ConfigError("at least one multipath tap required")
-        _reject_nan(self, "tx_power_dbm", "noise_floor_dbm", "attenuation_db")
+        _reject_nan(self, "tx_power_dbm", finite=True)
+        _reject_nan(self, "noise_floor_dbm", "attenuation_db")
         if not self.adc_ref_amplitude > 0:
             raise ConfigError(f"adc_ref_amplitude must be > 0, got {self.adc_ref_amplitude}")
         if self.noise_floor_dbm is not None and self.noise_floor_dbm >= self.tx_power_dbm:

@@ -123,15 +123,16 @@ def _record_fault(record: RawCsiRecord) -> str | None:
     The header values and the rssi and antenna_perm entries must be Python
     ints, as the text parser reads them: a float or a numpy integer would
     fail later, in struct or json.  rssi and antenna_perm must hold three
-    values, and the csi must have the shape of n_rx and n_tx.  None if the
-    record passes.
+    values, which a value without a len() does not, and the csi must have
+    the shape of n_rx and n_tx.  None if the record passes.
     """
     for name in _INT_FIELDS:
         value = getattr(record, name)
         if type(value) is not int:
             return f"{name} must be an int, got {type(value).__name__}"
     for name, rule in (("rssi", 4), ("antenna_perm", 8)):
-        if len(values := getattr(record, name)) != 3:  # breaks the rule on the range of its values
+        # Not three values, or no len() at all, breaks the rule on their range.
+        if not hasattr(values := getattr(record, name), "__len__") or len(values) != 3:
             return _HEADER_RULES[rule][0]
         for value in values:
             if type(value) is not int:
@@ -320,15 +321,18 @@ def as_capture(records: Capture | list[RawCsiRecord]) -> Capture:
     """records as a Capture: a Capture as it is, a list of records in columns.
 
     The one place where a list of records, as users build one, becomes a
-    Capture.  Its header values are stacked into columns, and each record
-    is a part of its own, a view of its csi: no csi is copied, and the
-    analysis reads such a capture a record at a time.  Nothing is checked
-    here; the writers check what they write.
+    Capture.  Its header values are stacked into columns, and each run of
+    consecutive records of one csi shape is a part: the run's csi stacked,
+    a copy, or for a run of one record a view of its csi.  The analysis
+    then reads the list a run at a time, as it reads a parsed Capture.
+    Nothing is checked here; the writers check what they write.
     """
     if isinstance(records, Capture):
         return records
+    runs = [list(run) for _, run in itertools.groupby(records, key=lambda r: r.csi.shape)]
     return Capture(*(np.array([getattr(r, name) for r in records]) for name in _COLUMNS),
-                   tuple(r.csi[None] for r in records))
+                   tuple(np.stack([r.csi for r in run]) if len(run) > 1 else run[0].csi[None]
+                         for run in runs))
 
 
 def common_n_rx(records: Capture | list[RawCsiRecord]) -> int:

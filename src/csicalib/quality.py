@@ -34,17 +34,21 @@ _PRECEDENCE = (
 )
 
 
-def _reject_nan(settings, *names: str) -> None:
-    """Raise ConfigError naming the first of the fields names that holds a NaN.
+def _reject_nan(settings, *names: str, finite: bool = False) -> None:
+    """Raise ConfigError naming the first of the fields names that holds a NaN,
+    or with finite an infinity.
 
     Each field of settings is a number, a sequence of numbers, or None,
     which passes.  Every comparison with NaN is false, so a NaN would pass
     the check of a range.
     """
     for name in names:
+        values = np.ravel(getattr(settings, name))
         # NaN is the one value that is not equal to itself.
-        if any(value != value for value in np.ravel(getattr(settings, name))):
+        if any(value != value for value in values):
             raise ConfigError(f"{name} must be a number, got NaN")
+        if finite and any(value in (math.inf, -math.inf) for value in values):
+            raise ConfigError(f"{name} must be finite, got an infinity")
 
 
 @dataclass(frozen=True)

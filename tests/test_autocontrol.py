@@ -5,12 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from csicalib import (
     ControlAction,
     ControlSettings,
     QualityThresholds,
     SimConfig,
+    classify_losses,
     closed_loop,
     estimate_losses,
     recommend,
@@ -47,6 +49,41 @@ def test_over_ceiling_is_infeasible():
 def test_unmeasured_port_is_infeasible():
     action = recommend([30, None, 40])
     assert not action.feasible
+
+
+def test_an_unmeasured_port_is_infeasible_under_an_infinite_ceiling():
+    # Under an infinite ceiling this used to raise ValueError (a NaN spread),
+    # where the verdict reads PhaseUnmeasurable.
+    thresholds = QualityThresholds(max_loss_db=math.inf)
+    for losses in ([math.inf, 10], [None, 10]):
+        action = recommend(losses, thresholds=thresholds)
+        assert not action.feasible and action.is_zero()
+        assert action.predicted_class == classify_losses(losses, thresholds) == "PhaseUnmeasurable"
+    unbounded = QualityThresholds(math.inf, math.inf, math.inf)
+    assert not recommend([None, 40], thresholds=unbounded).feasible
+
+
+_loss = st.one_of(st.none(), st.floats(-20.0, 120.0))
+# The reliable spread is finite, so an unmeasured port is never Reliable.
+_thresholds = st.builds(
+    lambda max_loss_db, reliable, unmeasurable: QualityThresholds(
+        max_loss_db, reliable, max(reliable, unmeasurable)),
+    st.one_of(st.floats(0.0, 100.0), st.just(math.inf)),
+    st.floats(0.0, 40.0),
+    st.one_of(st.floats(0.0, 40.0), st.just(math.inf)),
+)
+
+
+@hyp_settings(max_examples=300, deadline=None)
+@given(st.lists(_loss, min_size=2, max_size=3), _thresholds, st.floats(-10.0, 10.0))
+def test_recommend_decides_by_the_verdicts_loss_checks(losses, thresholds, tx_power_dbm):
+    chain = SimConfig(tx_power_dbm=tx_power_dbm)
+    action = recommend(losses, chain=chain, thresholds=thresholds)
+    measured = [math.inf if l is None else l for l in losses]
+    no_action = (classify_losses(losses, thresholds) == "Reliable"
+                 and min(measured) >= chain.agc_floor_loss_db())
+    assert (action.is_zero() and action.predicted_class == "Reliable") == no_action
+    assert action.feasible == (None not in losses and max(measured) <= thresholds.max_loss_db)
 
 
 def test_estimate_losses_maps_nan_to_inf():

@@ -225,16 +225,26 @@ def test_list_of_a_capture_is_a_mutable_list():
     assert capture == before and capture != rows
 
 
-def test_a_list_becomes_a_capture_of_views_of_its_records():
-    records = _mixed_records(300)
+def test_a_list_becomes_a_capture_of_a_part_per_layout_run():
+    # Two runs of one record each: a (1, 1) record within a run of (3, 3)
+    # records, and one at the end.
+    mixed = _mixed_records(300)
+    single = make_record(n_rx=1, rssi=(36, 0, 0))
+    records = mixed[:50] + [single] + mixed[50:] + [dataclasses.replace(single)]
     capture = as_capture(records)
     assert as_capture(capture) is capture
-    assert len(capture.parts) == len(records)
-    assert all(np.shares_memory(p, r.csi) and p[0].shape == r.csi.shape
-               for p, r in zip(capture.parts, records))
-    assert capture == records
     runs = ref_layout_runs(records)
     assert ref_layout_runs(capture) == runs and len(runs) > 3
+    assert [len(p) for p in capture.parts] == [rows.stop - rows.start for rows in runs]
+    for p, rows in zip(capture.parts, runs):
+        run = records[rows]
+        if len(run) == 1:  # a view of the record's csi
+            assert np.shares_memory(p, run[0].csi) and p[0].shape == run[0].csi.shape
+        else:  # the run's csi stacked
+            assert not any(np.shares_memory(p, r.csi) for r in run)
+            assert np.array_equal(p, np.stack([r.csi for r in run]))
+    assert sum(len(p) == 1 for p in capture.parts) == 2
+    assert capture == records
     assert len(as_capture([])) == 0 and as_capture([]).parts == ()
 
 

@@ -231,6 +231,9 @@ _OUT_OF_RANGE = [
     ({"tx_power_dbm": math.nan}, "tx_power_dbm must be a number, got NaN"),
     ({"noise_floor_dbm": math.nan}, "noise_floor_dbm must be a number, got NaN"),
     ({"attenuation_db": (30.0, math.nan, 30.0)}, "attenuation_db must be a number, got NaN"),
+    # An infinite transmit power used to build, then fail in simulate_capture.
+    ({"tx_power_dbm": math.inf}, "tx_power_dbm must be finite, got an infinity"),
+    ({"tx_power_dbm": -math.inf}, "tx_power_dbm must be finite, got an infinity"),
     ({"adc_ref_amplitude": 0.0}, "adc_ref_amplitude must be > 0, got 0.0"),
     ({"adc_ref_amplitude": -30.0}, "adc_ref_amplitude must be > 0, got -30.0"),
 ]
@@ -248,6 +251,20 @@ def test_config_out_of_range_raises_when_built(values, message):
 def test_a_nan_multipath_tap_raises_when_built(field):
     with pytest.raises(ConfigError, match=f"{field} must be a number, got NaN"):
         MultipathTap(**{field: math.nan})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["gain", "phase_deg", "delay_slope_deg"])
+def test_an_infinite_multipath_tap_raises_when_built(field, value):
+    # Such a tap used to build, then fail in simulate_capture.
+    with pytest.raises(ConfigError, match=f"{field} must be finite, got an infinity"):
+        MultipathTap(**{field: value})
+
+
+def test_an_infinite_chain_is_refused_before_recommend():
+    # recommend used to raise OverflowError on an infinite transmit power.
+    with pytest.raises(ConfigError, match="tx_power_dbm must be finite, got an infinity"):
+        recommend([10, 10, 10], chain=SimConfig(tx_power_dbm=math.inf))
 
 
 def test_a_nan_chain_is_refused_before_recommend():

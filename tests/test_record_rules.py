@@ -7,6 +7,7 @@ docs/FORMATS.md lists them.
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,20 @@ def test_the_checks_of_a_list_record_come_before_the_rules():
         record.validate()
     with pytest.raises(InvariantViolation, match=r"rssi must be three values in 0\.\.255"):
         write_text_trace([make_record(), record])
+
+
+@pytest.mark.parametrize("field, message", [
+    ("rssi", "rssi must be three values in 0..255"),
+    ("antenna_perm", "antenna_perm must be three 2-bit values"),
+])
+def test_a_list_value_without_a_len_breaks_its_length_rule(field, message):
+    # Such a value used to raise a bare TypeError from len().
+    record, good = replace(make_record(), **{field: 5}), make_record()
+    for check in (record.validate, lambda: write_text_trace([good, record]),
+                  lambda: encode_binary_trace([good, record])):
+        with pytest.raises(InvariantViolation) as exc:
+            check()
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("value", [2**64, -2**70])
