@@ -2,9 +2,11 @@
 
 When the inter-port spread is too large for a stable measurement, adding
 attenuation to the strong ports balances the channels without touching the
-weak one.  The controller only ever adds attenuation, keeps every port at
-or below the loss ceiling, and lifts all ports together when the signal is
-so strong that the adaptive gain would pin at its minimum.
+weak one.  The controller only ever adds attenuation, in whole dB, keeps
+every port at or below the loss ceiling, and lifts all ports together when
+the signal is so strong that the adaptive gain would pin at its minimum.
+Where the ceiling lies below that AGC floor, the ceiling wins, and the
+action predicts AgcSaturatedLow.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 from .errors import ConfigError, InsufficientPorts
 from .chipsim import PhaseDistortion, SimConfig, simulate_capture
 from .quality import (QualityThresholds, QualityVerdict, _as_losses, _loss_checks,
-                      _most_severe, classify, classify_losses, variation_stats)
+                      _most_severe, classify, variation_stats)
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,11 @@ def recommend(
     attenuation: it adds nothing and predicts the class of the losses.
     When no check triggers and no port sits below the AGC floor of chain,
     the chain the losses were measured on, the action is zero and predicts
-    Reliable.  Otherwise every port is lifted to a common floor, and
-    predicted_class is the class of the balanced losses.
+    Reliable.  Otherwise every port is lifted to a common floor in whole
+    dB, each addition capped so that no port passes the ceiling, and
+    predicted_class is the class of the balanced losses by the same loss
+    checks: AgcSaturatedLow where the cap leaves a port below the AGC
+    floor, which happens when that floor lies above the ceiling.
     """
     losses = _as_losses(est_port_loss_db)
     if len(losses) < 2:
@@ -89,12 +94,19 @@ def recommend(
         return ControlAction(zero, feasible=True, predicted_class="Reliable")
 
     # Lift every port to a common floor: within balance_target_db of the
-    # weakest channel and high enough to keep the AGC off its minimum.
+    # weakest channel and high enough to keep the AGC off its minimum.  Each
+    # addition is rounded up to a whole dB, then capped at the largest whole
+    # dB that keeps the port at or below the ceiling (an infinite one caps
+    # nothing, since min() then keeps the whole-dB addition).
     floor_level = max(max(losses) - settings.balance_target_db, agc_floor)
-    added = tuple(float(max(0, math.ceil(floor_level - l))) for l in losses)
+    ceiling = thresholds.max_loss_db
+    added = tuple(float(max(0, math.floor(min(math.ceil(floor_level - l), ceiling - l))))
+                  for l in losses)
     final = [l + a for l, a in zip(losses, added)]
-    return ControlAction(added, feasible=True,
-                         predicted_class=classify_losses(final, thresholds))
+    checks = _loss_checks(final, thresholds)
+    if min(final) < agc_floor:  # the cap kept a port below the AGC floor
+        checks.append(("AgcSaturatedLow", None))
+    return ControlAction(added, feasible=True, predicted_class=_most_severe(checks))
 
 
 @dataclass

@@ -19,11 +19,6 @@ class LengthMismatch(CsiCalibError):
     exit_code = 2
 
 
-class BadPermutation(CsiCalibError):
-    """Antenna selection byte does not decode to a valid port permutation."""
-    exit_code = 2
-
-
 class InvariantViolation(CsiCalibError):
     """A record field is out of range or inconsistent."""
     exit_code = 2

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import _dectext
 from .errors import (
-    BadPermutation,
     ConfigError,
     InvariantViolation,
     LengthMismatch,
@@ -123,16 +122,21 @@ def _record_fault(record: RawCsiRecord) -> str | None:
     The header values and the rssi and antenna_perm entries must be Python
     ints, as the text parser reads them: a float or a numpy integer would
     fail later, in struct or json.  rssi and antenna_perm must hold three
-    values, which a value without a len() does not, and the csi must have
-    the shape of n_rx and n_tx.  None if the record passes.
+    values, which a value whose len() raises (an int, a 0-d numpy array)
+    does not, and the csi must have the shape of n_rx and n_tx.  None if
+    the record passes.
     """
     for name in _INT_FIELDS:
         value = getattr(record, name)
         if type(value) is not int:
             return f"{name} must be an int, got {type(value).__name__}"
     for name, rule in (("rssi", 4), ("antenna_perm", 8)):
-        # Not three values, or no len() at all, breaks the rule on their range.
-        if not hasattr(values := getattr(record, name), "__len__") or len(values) != 3:
+        # Not three values breaks the rule on their range.
+        try:
+            three = len(values := getattr(record, name)) == 3
+        except TypeError:  # no len(), or one that raises, as a 0-d numpy array's
+            three = False
+        if not three:
             return _HEADER_RULES[rule][0]
         for value in values:
             if type(value) is not int:
@@ -404,16 +408,6 @@ def _decode_perm(antenna_sel: int) -> tuple[int, int, int]:
     return (antenna_sel & 0x3, (antenna_sel >> 2) & 0x3, (antenna_sel >> 4) & 0x3)
 
 
-#: (n_rx, antenna_sel) -> antenna_perm, for every selection byte whose first
-#: n_rx entries are a permutation of 0..n_rx-1.
-_VALID_PERMS = {
-    (n_rx, sel): _decode_perm(sel)
-    for n_rx in (1, 2, 3)
-    for sel in range(256)
-    if sorted(_decode_perm(sel)[:n_rx]) == list(range(n_rx))
-}
-
-
 @functools.lru_cache(maxsize=None)
 def _component_table(n_rx: int, n_tx: int, perm: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Where each 8-bit CSI component lies in the payload of one layout.
@@ -474,54 +468,58 @@ def _pack_group(components: np.ndarray, n_rx: int, n_tx: int,
 def parse_binary_trace(data: bytes) -> Capture:
     """Decode a framed binary trace into a Capture, skipping non-CSI frames.
 
-    Raises TruncatedRecord when a frame claims more bytes than remain,
-    LengthMismatch when the declared CSI length disagrees with the layout,
-    BadPermutation for an invalid antenna selection byte, and
-    InvariantViolation for an n_rx or n_tx out of range or a non-zero RSSI
-    past n_rx (docs/FORMATS.md).  All frames are checked in one pass before
-    any payload is decoded; the payloads of each (n_rx, n_tx) layout and
-    permutation are then decoded together, into one array of every
-    record's csi of which each run of records of one layout is a part.
+    The frame loop checks only what needs the frame bytes: it raises
+    TruncatedRecord for dangling bytes, a frame past the input, a body
+    shorter than the header or a payload cut short, and LengthMismatch
+    when the declared CSI length disagrees with the layout.  Each CSI
+    frame's header row is kept as soon as it is read, and the header rules
+    of the record checks then run once over all rows: the first faulty
+    row raises InvariantViolation with the rule's message, as validate()
+    and the text parser do.  Where the loop stopped at a fault, a header
+    fault of that frame or an earlier one comes first (docs/FORMATS.md).
+    No payload is decoded before every header passes; the payloads of
+    each (n_rx, n_tx) layout and permutation are then decoded together,
+    into one array of every record's csi of which each run of records of
+    one layout is a part.
     """
     headers: list[tuple] = []
     # (n_rx, n_tx, antenna_perm[:n_rx]) -> (record indices, payload offsets)
     groups: dict[tuple, tuple[list[int], list[int]]] = {}
-    off = 0
-    total = len(data)
-    while off < total:
-        if total - off < 3:
-            raise TruncatedRecord(f"dangling {total - off} byte(s) at offset {off}")
-        frame_len = (data[off] << 8) | data[off + 1]
-        end = off + 2 + frame_len
-        if frame_len < 1 or end > total:
-            raise TruncatedRecord(f"frame at offset {off} exceeds input")
-        code = data[off + 2]
-        start, body, off = off, off + 3, end
-        if code != CSI_RECORD_CODE:
-            continue
-        if end - body < _HEADER_BYTES:
-            raise TruncatedRecord("record body shorter than fixed header")
-        (_, _, _, timestamp_low, bfee_count, n_rx, n_tx, rssi1, rssi2, rssi3, noise, agc,
-         antenna_sel, declared_len, rate_flags) = _FRAME_AND_HEADER.unpack_from(data, start)
-        if not (1 <= n_rx <= 3 and 1 <= n_tx <= 3):
-            raise InvariantViolation(f"n_rx={n_rx}, n_tx={n_tx} out of range")
-        expected = csi_payload_len(n_rx, n_tx)
-        if declared_len != expected:
-            raise LengthMismatch(f"declared {declared_len}, computed {expected}")
-        if end - body < _HEADER_BYTES + declared_len:
-            raise TruncatedRecord("CSI payload cut short")
-        perm = _VALID_PERMS.get((n_rx, antenna_sel))
-        if perm is None:
-            raise BadPermutation(f"antenna_sel 0x{antenna_sel:02x} for n_rx={n_rx}")
-        if any((rssi1, rssi2, rssi3)[n_rx:]):
-            raise InvariantViolation("rssi of absent ports must be exactly 0")
-        index, offsets = groups.setdefault((n_rx, n_tx, perm[:n_rx]), ([], []))
-        index.append(len(headers))
-        offsets.append(body + _HEADER_BYTES)
-        headers.append((timestamp_low, bfee_count, n_rx, n_tx, rssi1, rssi2, rssi3,
-                        noise, agc, *perm, rate_flags))
+    off, total = 0, len(data)
+    stop = None  # the framing or length fault that ended the loop
+    try:
+        while off < total:
+            if total - off < 3:
+                raise TruncatedRecord(f"dangling {total - off} byte(s) at offset {off}")
+            frame_len = (data[off] << 8) | data[off + 1]
+            end = off + 2 + frame_len
+            if frame_len < 1 or end > total:
+                raise TruncatedRecord(f"frame at offset {off} exceeds input")
+            start, body, off = off, off + 3, end
+            if data[start + 2] != CSI_RECORD_CODE:
+                continue
+            if end - body < _HEADER_BYTES:
+                raise TruncatedRecord("record body shorter than fixed header")
+            (_, _, _, timestamp_low, bfee_count, n_rx, n_tx, rssi1, rssi2, rssi3, noise, agc,
+             antenna_sel, declared_len, rate_flags) = _FRAME_AND_HEADER.unpack_from(data, start)
+            perm = _decode_perm(antenna_sel)
+            headers.append((timestamp_low, bfee_count, n_rx, n_tx, rssi1, rssi2, rssi3,
+                            noise, agc, *perm, rate_flags))
+            if declared_len != (expected := csi_payload_len(n_rx, n_tx)):
+                raise LengthMismatch(f"declared {declared_len}, computed {expected}")
+            if end - body < _HEADER_BYTES + declared_len:
+                raise TruncatedRecord("CSI payload cut short")
+            index, offsets = groups.setdefault((n_rx, n_tx, perm[:n_rx]), ([], []))
+            index.append(len(headers) - 1)
+            offsets.append(body + _HEADER_BYTES)
+    except (TruncatedRecord, LengthMismatch) as exc:
+        stop = exc
 
     header = np.array(headers, dtype=np.int64).reshape(-1, 13)
+    if fault := _header_faults(header):
+        raise InvariantViolation(fault[1])
+    if stop:
+        raise stop
     # Each record's CSI components, in record order, at start in values.
     size = 2 * N_SUBCARRIERS * header[:, 2] * header[:, 3]
     start = np.cumsum(size) - size

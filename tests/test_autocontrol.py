@@ -75,15 +75,39 @@ _thresholds = st.builds(
 
 
 @hyp_settings(max_examples=300, deadline=None)
-@given(st.lists(_loss, min_size=2, max_size=3), _thresholds, st.floats(-10.0, 10.0))
-def test_recommend_decides_by_the_verdicts_loss_checks(losses, thresholds, tx_power_dbm):
+@given(st.lists(_loss, min_size=2, max_size=3), _thresholds, st.floats(-10.0, 10.0),
+       st.floats(0.0, 5.0))
+def test_recommend_decides_by_the_verdicts_loss_checks(losses, thresholds, tx_power_dbm,
+                                                       target):
     chain = SimConfig(tx_power_dbm=tx_power_dbm)
-    action = recommend(losses, chain=chain, thresholds=thresholds)
+    action = recommend(losses, ControlSettings(balance_target_db=target), chain, thresholds)
     measured = [math.inf if l is None else l for l in losses]
     no_action = (classify_losses(losses, thresholds) == "Reliable"
                  and min(measured) >= chain.agc_floor_loss_db())
     assert (action.is_zero() and action.predicted_class == "Reliable") == no_action
     assert action.feasible == (None not in losses and max(measured) <= thresholds.max_loss_db)
+    if action.feasible:
+        # No addition takes a port past the ceiling, so none predicts Unstable.
+        final = [l + a for l, a in zip(measured, action.added_attenuation_db)]
+        assert max(final) <= thresholds.max_loss_db
+        assert action.predicted_class != "Unstable"
+
+
+def test_an_agc_floor_above_the_ceiling_caps_the_lift_at_the_ceiling():
+    # The AGC floor lies at 32 + 10 = 42 dB, above the 40 dB ceiling: the
+    # ports stop at the ceiling, and the AGC stays pinned low.  This used to
+    # add 12 dB per port and predict Unstable.
+    chain, thresholds = SimConfig(tx_power_dbm=10.0), QualityThresholds(max_loss_db=40)
+    action = recommend([30, 30, 30], chain=chain, thresholds=thresholds)
+    assert action == ControlAction((10.0, 10.0, 10.0), True, "AgcSaturatedLow")
+
+
+def test_a_lift_rounded_up_to_a_whole_db_stops_at_the_ceiling():
+    # Balancing to 0.3 dB asks for 10.2 dB on the 49.5 dB port; a whole
+    # 11 dB would take it past the 60 dB ceiling, which used to predict
+    # Unstable.  Capped at 10 dB, the spread is 0.5 dB.
+    action = recommend([60, 49.5], ControlSettings(balance_target_db=0.3))
+    assert action == ControlAction((0.0, 10.0), True, "Reliable")
 
 
 def test_estimate_losses_maps_nan_to_inf():

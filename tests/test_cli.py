@@ -530,7 +530,6 @@ _EXIT_CODES = {
     "CsiCalibError": 3,
     "TruncatedRecord": 2,
     "LengthMismatch": 2,
-    "BadPermutation": 2,
     "InvariantViolation": 2,
     "SchemaError": 2,
     "AbsentPort": 3,

@@ -23,7 +23,6 @@ from csicalib import (
 )
 from csicalib.cli import main
 from csicalib.errors import (
-    BadPermutation,
     CsiCalibError,
     InvariantViolation,
     LengthMismatch,
@@ -64,18 +63,20 @@ def _ref_parse_record_body(body):
     noise = body[13] - 256 if body[13] > 127 else body[13]
     antenna_sel = body[15]
     declared_len = int.from_bytes(body[16:18], "little")
+    perm = _ref_decode_perm(antenna_sel)
+    # The record rules a header's bytes can break, in the order of the rule
+    # table, before the lengths.
     if not (1 <= n_rx <= 3 and 1 <= n_tx <= 3):
-        raise InvariantViolation(f"n_rx={n_rx}, n_tx={n_tx} out of range")
+        raise InvariantViolation("n_rx and n_tx must be in 1..3")
+    if any(body[10 + n_rx : 13]):
+        raise InvariantViolation("rssi of absent ports must be exactly 0")
+    if sorted(perm[:n_rx]) != list(range(n_rx)):
+        raise InvariantViolation("antenna_perm prefix is not a permutation")
     expected = csi_payload_len(n_rx, n_tx)
     if declared_len != expected:
         raise LengthMismatch(f"declared {declared_len}, computed {expected}")
     if len(body) < 20 + declared_len:
         raise TruncatedRecord("CSI payload cut short")
-    perm = _ref_decode_perm(antenna_sel)
-    if sorted(perm[:n_rx]) != list(range(n_rx)):
-        raise BadPermutation(f"antenna_sel 0x{antenna_sel:02x} for n_rx={n_rx}")
-    if any(body[10 + n_rx : 13]):
-        raise InvariantViolation("rssi of absent ports must be exactly 0")
 
     payload = body[20 : 20 + declared_len]
     csi = np.zeros((N_SUBCARRIERS, n_rx, n_tx), dtype=np.complex128)
@@ -276,11 +277,11 @@ def test_every_layout_and_selection_byte_matches_reference(n_rx, n_tx):
     _assert_same_records(parse_binary_trace(data), valid)
 
     # Every selection byte, the two unused high bits included: the same
-    # records or the same BadPermutation.
+    # records or the same permutation rule's InvariantViolation.
     template = data[: 23 + csi_payload_len(n_rx, n_tx)]
     outcomes = {_assert_same_outcome(template[:18] + bytes([sel]) + template[19:])
                 for sel in range(256)}
-    assert outcomes == {"ok", BadPermutation}
+    assert outcomes == {"ok", InvariantViolation}
 
 
 def test_empty_input_matches_reference():
@@ -326,20 +327,53 @@ def test_corrupted_header_byte_matches_reference(small_trace, field, offset):
     assert len(kinds) > 1, field
 
 
+def _error_of(data):
+    """The error class and message of data, which both parsers raise alike."""
+    _assert_same_outcome(data)
+    return _outcome(parse_binary_trace, data)
+
+
+def _with_frame_len(data):
+    """A one-frame trace with its frame length set to its size."""
+    return (len(data) - 2).to_bytes(2, "big") + bytes(data[2:])
+
+
 def test_check_order_on_a_record_with_every_fault():
+    # Faults are added to one frame in turn, each checked before those added
+    # before it: body length, then the header rules in the order of the
+    # rule table, then the declared length, then the payload length.
     record = make_record(n_rx=2, rssi=(40, 40, 0), antenna_perm=(1, 0, 0))
-    data = bytearray(encode_binary_trace([record]))
-    data[3 + 12] = 7          # rssi of port 3, which the record does not have
-    assert _assert_same_outcome(bytes(data)) is InvariantViolation
-    data[3 + 15] = 0x00       # antenna_sel: perm (0, 0) for n_rx=2
-    assert _assert_same_outcome(bytes(data)) is BadPermutation
-    short = bytes(data[:-1])  # payload cut short, frame length still valid
-    short = (len(short) - 2).to_bytes(2, "big") + short[2:]
-    assert _assert_same_outcome(short) is TruncatedRecord
+    data = bytearray(_with_frame_len(encode_binary_trace([record])[:-1]))  # payload cut short
+    assert _error_of(bytes(data)) == (TruncatedRecord, "CSI payload cut short")
     data[3 + 16] += 1         # declared length
-    assert _assert_same_outcome(bytes(data)) is LengthMismatch
+    assert _error_of(bytes(data))[0] is LengthMismatch
+    data[3 + 15] = 0x00       # antenna_sel: perm (0, 0) for n_rx=2
+    assert _error_of(bytes(data)) == (
+        InvariantViolation, "antenna_perm prefix is not a permutation")
+    data[3 + 12] = 7          # rssi of port 3, which the record does not have
+    assert _error_of(bytes(data)) == (
+        InvariantViolation, "rssi of absent ports must be exactly 0")
     data[3 + 9] = 4           # n_tx out of range
-    assert _assert_same_outcome(bytes(data)) is InvariantViolation
+    assert _error_of(bytes(data)) == (
+        InvariantViolation, "n_rx and n_tx must be in 1..3")
+    short = _with_frame_len(data[: 3 + 19])  # body shorter than the header
+    assert _error_of(short) == (TruncatedRecord, "record body shorter than fixed header")
+
+
+def test_check_order_across_frames_is_file_order():
+    good = encode_binary_trace([make_record()])
+    bad_perm = bytearray(good)
+    bad_perm[3 + 15] = 0x00
+    long_decl = bytearray(good)
+    long_decl[3 + 16] += 1
+    # A header fault of an earlier frame comes before a length fault of a
+    # later one, and the other way round.
+    assert _error_of(good + bytes(bad_perm) + bytes(long_decl))[0] is InvariantViolation
+    assert _error_of(good + bytes(long_decl) + bytes(bad_perm))[0] is LengthMismatch
+    # So does a header fault before dangling bytes, or a frame past the input.
+    assert _error_of(bytes(bad_perm) + b"\x00")[0] is InvariantViolation
+    assert _error_of(bytes(bad_perm) + good[:-1])[0] is InvariantViolation
+    assert _error_of(good[:-1] + bytes(bad_perm))[0] is TruncatedRecord
 
 
 def test_encode_error_matches_reference():

@@ -13,7 +13,6 @@ from csicalib import (
 )
 from csicalib.cli import main
 from csicalib.errors import (
-    BadPermutation,
     InvariantViolation,
     LengthMismatch,
     SchemaError,
@@ -93,7 +92,7 @@ def test_length_mismatch():
 def test_bad_permutation():
     data = bytearray(encode_binary_trace([make_record()]))
     data[3 + 15] = 0x00  # all streams claim port 0
-    with pytest.raises(BadPermutation):
+    with pytest.raises(InvariantViolation, match="^antenna_perm prefix is not a permutation$"):
         parse_binary_trace(bytes(data))
 
 

@@ -2,7 +2,8 @@
 
 RawCsiRecord.validate(), both writers, given a list or a Capture, and the
 text parser check a record against the same rules in the same order, and
-docs/FORMATS.md lists them.
+docs/FORMATS.md lists them.  The binary parser checks a frame's header
+against the same rules: a frame gives the message of its record's line.
 """
 
 import json
@@ -10,9 +11,16 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from csicalib import encode_binary_trace, parse_text_trace, write_text_trace
+from csicalib import (
+    csi_payload_len,
+    encode_binary_trace,
+    parse_binary_trace,
+    parse_text_trace,
+    write_text_trace,
+)
 from csicalib.errors import InvariantViolation, SchemaError
 from csicalib.ingest import _CSI_RULES, _HEADER_RULES, as_capture
 
@@ -81,6 +89,53 @@ def test_one_fault_gives_its_rules_message_by_every_route(message, record, text)
         assert exc.value.line == 2 and str(exc.value) == f"line 2: {message}"
 
 
+def _edited_trace(record, edits, n_payload=None):
+    """The one-record binary trace of a valid record, bytes edited.
+
+    edits maps a header byte offset to its new value.  n_payload, if
+    given, is the new declared length: the payload is padded with zero
+    bytes to it and the frame length follows.
+    """
+    data = bytearray(encode_binary_trace([record]))
+    for offset, value in edits.items():
+        data[3 + offset] = value
+    if n_payload is not None:
+        data[3 + 16 : 3 + 18] = n_payload.to_bytes(2, "little")
+        data += bytes(3 + 20 + n_payload - len(data))
+        data[:2] = (len(data) - 2).to_bytes(2, "big")
+    return bytes(data)
+
+
+#: For each rule a binary frame can break, a one-record trace that breaks it
+#: alone, and the record of that frame.  The other header rules are on
+#: ranges that a header byte cannot leave.
+_BINARY_ONE_FAULT = [
+    ("n_rx and n_tx must be in 1..3", make_record(n_rx=4),
+     _edited_trace(make_record(), {8: 4}, n_payload=csi_payload_len(4, 1))),
+    ("rssi of absent ports must be exactly 0", make_record(n_rx=2, rssi=(36, 39, 31)),
+     _edited_trace(make_record(n_rx=2, rssi=(36, 39, 0)), {12: 31})),
+    ("antenna_perm prefix is not a permutation", make_record(antenna_perm=(0, 0, 2)),
+     _edited_trace(make_record(), {15: 2 << 4})),
+]
+
+
+@pytest.mark.parametrize("message, record, data", _BINARY_ONE_FAULT,
+                         ids=[message for message, _, _ in _BINARY_ONE_FAULT])
+def test_a_binary_frame_gives_the_message_of_its_records_line(message, record, data):
+    with pytest.raises(InvariantViolation) as exc:
+        parse_binary_trace(data)
+    assert str(exc.value) == message
+    with pytest.raises(SchemaError) as exc:
+        parse_text_trace(_line(record) + "\n")
+    assert str(exc.value) == f"line 1: {message}"
+    # Between valid frames, and after a valid frame cut short, the frame's
+    # fault comes first in file order.
+    good = encode_binary_trace([make_record()])
+    for trace in (good + data + good, good + data + good[:-1]):
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            parse_binary_trace(trace)
+
+
 def test_the_checks_of_a_list_record_come_before_the_rules():
     # Only a list record can hold two rssi values; that fault is found before
     # any rule of the table, whatever the record's other faults.
@@ -96,13 +151,15 @@ def test_the_checks_of_a_list_record_come_before_the_rules():
     ("antenna_perm", "antenna_perm must be three 2-bit values"),
 ])
 def test_a_list_value_without_a_len_breaks_its_length_rule(field, message):
-    # Such a value used to raise a bare TypeError from len().
-    record, good = replace(make_record(), **{field: 5}), make_record()
-    for check in (record.validate, lambda: write_text_trace([good, record]),
-                  lambda: encode_binary_trace([good, record])):
-        with pytest.raises(InvariantViolation) as exc:
-            check()
-        assert str(exc.value) == message
+    # Such values used to raise a bare TypeError from len(): an int has no
+    # len(), and a 0-d numpy array's raises.
+    good = make_record()
+    for record in (replace(good, **{field: value}) for value in (5, np.array(5))):
+        for check in (record.validate, lambda: write_text_trace([good, record]),
+                      lambda: encode_binary_trace([good, record])):
+            with pytest.raises(InvariantViolation) as exc:
+                check()
+            assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("value", [2**64, -2**70])
