@@ -174,7 +174,7 @@ def _unit_channel(config: SimConfig) -> np.ndarray:
 
 
 def simulate_capture(
-    config: SimConfig, distortion: PhaseDistortion | None = None
+    config: SimConfig, distortion: PhaseDistortion | None = None, *, _held: dict | None = None
 ) -> Capture:
     """Produce a deterministic capture of the configured chain.
 
@@ -193,29 +193,38 @@ def simulate_capture(
     if len(distortion.delta_deg) < n_rx:
         raise ConfigError(f"delta_deg needs at least {n_rx} entries, one per port, "
                           f"got {len(distortion.delta_deg)}")
+    # _held is run_sweep's, for one distortion: it keeps the last draw under
+    # the config fields that _draw reads, for the next point to reuse.
+    held = {} if _held is None else _held
+    key = (config.seed, config.n_packets, n_rx, config.noise_floor_dbm)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _simulate(config, distortion)
+            if key not in held:
+                held.clear()
+                held[key] = _draw(config, distortion)
+            return _simulate(config, *held[key])
     except FloatingPointError as exc:
         raise ConfigError(f"the simulated chain leaves the float range ({exc})") from exc
 
 
-def _simulate(config: SimConfig, distortion: PhaseDistortion) -> Capture:
+def _draw(config: SimConfig, distortion: PhaseDistortion) -> tuple[np.ndarray, np.ndarray]:
+    """The random and oscillator terms of a capture, each (T, n_rx, 30):
+    the phasors exp(i(common + delta)) and the scaled complex noise.
+
+    They depend on the seed, n_packets, the port count, noise_floor_dbm
+    and the distortion, not on the attenuations.  Both come back
+    read-only, so a held draw cannot change under a later capture.
+    """
     rng = np.random.default_rng(config.seed)
     n_rx = len(config.attenuation_db)
     n_packets = config.n_packets
-    u = _unit_channel(config)  # (K,)
     k = np.arange(N_SUBCARRIERS)
-
-    port_power_lin, noise_scale, kappa = _linear_scales(config)
-    # Per-subcarrier complex signal per port; sum over subcarriers of |x|^2
-    # equals the port power in mW.
-    x = np.sqrt(np.array(port_power_lin))[:, None] * u[None, :]  # (n_rx, K)
+    noise_scale = _linear_scales(config)[1]
 
     # One row of normals per packet, in the per-packet draw order.  Every
-    # step below repeats the operations of a per-packet computation, in
-    # place where it can, so the records are bit-identical to it (signed
-    # zeros included).
+    # step below and in _simulate repeats the operations of a per-packet
+    # computation, in place where it can, so the records are bit-identical
+    # to it (signed zeros included).
     n_jitter = 1 if distortion.pdd_jitter_deg else 0
     n_noise = n_rx * N_SUBCARRIERS
     draws = rng.standard_normal((n_packets, n_jitter + 2 * n_noise))
@@ -233,11 +242,23 @@ def _simulate(config: SimConfig, distortion: PhaseDistortion) -> Capture:
     del draws
     np.deg2rad(common, out=common)
     delta = np.deg2rad(np.asarray(distortion.delta_deg[:n_rx], dtype=float))
-    y = np.multiply(common[:, None, :] + delta[:, None], 1j)
-    np.exp(y, out=y)
-    y *= x
+    phasors = np.multiply(common[:, None, :] + delta[:, None], 1j)
+    np.exp(phasors, out=phasors)
+    phasors.flags.writeable = noise.flags.writeable = False
+    return phasors, noise
+
+
+def _simulate(config: SimConfig, phasors: np.ndarray, noise: np.ndarray) -> Capture:
+    n_rx = len(config.attenuation_db)
+    n_packets = config.n_packets
+    u = _unit_channel(config)  # (K,)
+
+    port_power_lin, _, kappa = _linear_scales(config)
+    # Per-subcarrier complex signal per port; sum over subcarriers of |x|^2
+    # equals the port power in mW.
+    x = np.sqrt(np.array(port_power_lin))[:, None] * u[None, :]  # (n_rx, K)
+    y = phasors * x
     y += noise
-    del noise
 
     power = np.abs(y)
     np.square(power, out=power)
@@ -310,14 +331,23 @@ def run_sweep(
     Each configuration is calibrated with its own chain constants.  Loss
     estimates for classification come from the simulator ground truth (the
     configured attenuations).  Results only depend on each entry's own
-    config and seed, so order is immaterial.
+    config and seed, so order is immaterial: each result is that config's
+    sweep of one.
+
+    The CLI's sweep runs every point on the one resolved seed, as the
+    paper steps its attenuators on one link.  So the points share their
+    noise and oscillator draws, and report rows differ only through the
+    attenuations: a paired comparison.  That is why consecutive points of
+    one seed, packet count, port count and noise floor simulate from one
+    draw, made once.
     """
     if not configs:
         raise ConfigError("empty sweep")
     results = []
+    held: dict = {}
     for config in configs:
         consts = config.calibration_constants()
-        capture = simulate_capture(config, distortion)
+        capture = simulate_capture(config, distortion, _held=held)
         stats = variation_stats(capture, consts)
         ratios = check_ratio_consistency(capture)
         del capture  # released before the next one is simulated, to lower peak memory

@@ -22,7 +22,17 @@ from .powercalib import pair_label
 
 def _wrap_in_place(a: np.ndarray) -> np.ndarray:
     np.subtract(180.0, a, out=a)
-    np.mod(a, 360.0, out=a)
+    # On [-360, 720), where differences of wrapped angles land, two steps
+    # give np.mod(a, 360.0)'s bits: a - 360 is exact (Sterbenz), a + 360 is
+    # the one rounding that np.mod applies after fmod, and -0 + 0 is the +0
+    # that np.mod gives.  fmin and fmax skip NaN; their initial values let
+    # an empty or all-NaN array through.
+    if (np.fmin.reduce(a, axis=None, initial=np.inf) >= -360.0
+            and np.fmax.reduce(a, axis=None, initial=-np.inf) < 720.0):
+        a -= (a >= 360.0) * 360.0
+        a += (a < 0.0) * 360.0
+    else:
+        np.mod(a, 360.0, out=a)
     np.subtract(180.0, a, out=a)
     return a
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from csicalib import (
     wrap_deg,
 )
 from csicalib.errors import AbsentPort
-from csicalib.phase import series_to_csv
+from csicalib.phase import _wrap_in_place, series_to_csv
 
 from conftest import make_record
 
@@ -21,6 +22,42 @@ def test_wrap_range():
     assert np.all(wrapped > -180.0) and np.all(wrapped <= 180.0)
     assert wrap_deg(181.0) == pytest.approx(-179.0)
     assert wrap_deg(-180.0) == 180.0
+
+
+def _wrap_with_np_mod(a):
+    """The np.mod form of the wrap: the reference for its bits."""
+    np.subtract(180.0, a, out=a)
+    np.mod(a, 360.0, out=a)
+    np.subtract(180.0, a, out=a)
+    return a
+
+
+def _assert_wraps_as_np_mod(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wrapped = _wrap_in_place(a.copy())
+    assert wrapped.tobytes() == _wrap_with_np_mod(a.copy()).tobytes(), a
+
+
+def test_wrap_edges_match_np_mod_bit_for_bit():
+    # One array per angle, since one angle outside (-540, 540] sends a whole
+    # array to the np.mod fallback: -540 and the neighbours outside take it.
+    edges = np.array([0.0, -0.0, 180.0, -180.0, 360.0, -360.0, 540.0, -540.0])
+    for angle in np.concatenate([edges, np.nextafter(edges, np.inf),
+                                 np.nextafter(edges, -np.inf)]):
+        _assert_wraps_as_np_mod(np.array([angle]))
+
+
+@pytest.mark.parametrize("angles", [
+    lambda: np.random.default_rng(25).uniform(-360.0, 360.0, 10**6),
+    lambda: np.random.default_rng(26).uniform(-540.0, 540.0, 10**6),
+    lambda: np.array([np.nan, -np.nan, 90.0, -0.0]),
+    lambda: np.full(5, np.nan),
+    lambda: np.empty(0),
+    lambda: np.array(-0.0),
+], ids=["uniform360", "uniform540", "nan", "all_nan", "empty", "scalar"])
+def test_wrap_matches_np_mod_bit_for_bit(angles):
+    _assert_wraps_as_np_mod(angles())
 
 
 def _two_port_record(row_i, row_j):
