@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError, InsufficientPorts
 from .chipsim import PhaseDistortion, SimConfig, simulate_capture
-from .quality import (QualityThresholds, QualityVerdict, _as_losses, _loss_checks,
-                      _most_severe, classify, variation_stats)
+from .quality import (QualityThresholds, QualityVerdict, _as_losses, _checks, _most_severe,
+                      classify, variation_stats)
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,9 @@ def recommend(
 ) -> ControlAction:
     """Per-port attenuation additions that balance the channels.
 
-    The action is decided by the verdict's loss checks under thresholds,
-    those of classify_losses.  An unmeasured port (a loss of None or
+    The action is decided by the verdict's checks under thresholds: the
+    loss rows of quality's table, those of classify_losses, and on the
+    feasible path its AGC-floor row on chain.  An unmeasured port (a loss of None or
     infinity) or a loss above the ceiling makes the action infeasible under
     any thresholds, since the weakest channel can never be helped by adding
     attenuation: it adds nothing and predicts the class of the losses.
@@ -77,7 +78,7 @@ def recommend(
     the chain the losses were measured on, the action is zero and predicts
     Reliable.  Otherwise every port is lifted to a common floor in whole
     dB, each addition capped so that no port passes the ceiling, and
-    predicted_class is the class of the balanced losses by the same loss
+    predicted_class is the class of the balanced losses by the same
     checks: AgcSaturatedLow where the cap leaves a port below the AGC
     floor, which happens when that floor lies above the ceiling.
     """
@@ -85,12 +86,11 @@ def recommend(
     if len(losses) < 2:
         raise InsufficientPorts("need loss estimates for at least two ports")
 
-    checks = _loss_checks(losses, thresholds)
+    checks = _checks(thresholds, losses=losses)
     zero = (0.0,) * len(losses)
     if any(map(math.isinf, losses)) or any(cls == "Unstable" for cls, _ in checks):
         return ControlAction(zero, feasible=False, predicted_class=_most_severe(checks))
-    agc_floor = chain.agc_floor_loss_db()
-    if not checks and min(losses) >= agc_floor:
+    if not _checks(thresholds, losses=losses, chain=chain):
         return ControlAction(zero, feasible=True, predicted_class="Reliable")
 
     # Lift every port to a common floor: within balance_target_db of the
@@ -98,14 +98,12 @@ def recommend(
     # addition is rounded up to a whole dB, then capped at the largest whole
     # dB that keeps the port at or below the ceiling (an infinite one caps
     # nothing, since min() then keeps the whole-dB addition).
-    floor_level = max(max(losses) - settings.balance_target_db, agc_floor)
+    floor_level = max(max(losses) - settings.balance_target_db, chain.agc_floor_loss_db())
     ceiling = thresholds.max_loss_db
     added = tuple(float(max(0, math.floor(min(math.ceil(floor_level - l), ceiling - l))))
                   for l in losses)
-    final = [l + a for l, a in zip(losses, added)]
-    checks = _loss_checks(final, thresholds)
-    if min(final) < agc_floor:  # the cap kept a port below the AGC floor
-        checks.append(("AgcSaturatedLow", None))
+    # AgcSaturatedLow where the cap kept a port below the AGC floor.
+    checks = _checks(thresholds, losses=[l + a for l, a in zip(losses, added)], chain=chain)
     return ControlAction(added, feasible=True, predicted_class=_most_severe(checks))
 
 

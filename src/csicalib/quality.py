@@ -19,6 +19,8 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from operator import eq, gt
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -184,32 +186,14 @@ def variation_stats(
     )
 
 
-def classify_losses(
-    est_port_loss_db, thresholds: QualityThresholds = QualityThresholds()
-) -> str:
+def classify_losses(est_port_loss_db, thresholds: QualityThresholds = QualityThresholds()) -> str:
     """Loss-only reliability class (no capture statistics involved)."""
-    return _most_severe(_loss_checks(_as_losses(est_port_loss_db), thresholds))
+    return _most_severe(_checks(thresholds, losses=_as_losses(est_port_loss_db)))
 
 
 def _as_losses(est_port_loss_db) -> list[float]:
     """Loss per port as floats; None (unmeasured) becomes infinity."""
     return [math.inf if l is None else float(l) for l in est_port_loss_db]
-
-
-def _loss_checks(losses: list[float], thresholds: QualityThresholds):
-    """(class, reason) of each loss and spread check that triggers."""
-    checks = []
-    spread = _loss_spread(losses)
-    if spread > thresholds.spread_unmeasurable_db:
-        checks.append(("PhaseUnmeasurable", _reason(
-            "loss_spread", thresholds.spread_unmeasurable_db, spread)))
-    elif spread > thresholds.spread_reliable_db:
-        checks.append(("Degraded", _reason(
-            "loss_spread", thresholds.spread_reliable_db, spread)))
-    max_loss = max(losses)
-    if max_loss > thresholds.max_loss_db:
-        checks.append(("Unstable", _reason("max_loss", thresholds.max_loss_db, max_loss)))
-    return checks
 
 
 def _loss_spread(losses) -> float:
@@ -218,6 +202,57 @@ def _loss_spread(losses) -> float:
     if any(math.isinf(l) for l in losses):
         return math.inf
     return max(losses) - min(losses)
+
+
+def _pinned_agc(given) -> float:
+    """The AGC readout of every record of the stats when all read one value; else NaN."""
+    readouts = set(given.stats.agc_readouts)
+    return readouts.pop() if len(readouts) == 1 else math.nan
+
+
+_SPREAD = (("PhaseUnmeasurable", "spread_unmeasurable_db"), ("Degraded", "spread_reliable_db"))
+
+#: Every check of a verdict, in the order of its reasons (docs/FORMATS.md).
+#: A row holds the check's name, the input it needs (the capture's stats,
+#: the port losses or the chain), how its observed value is read from the
+#: inputs, the comparison of that value with a threshold that triggers the
+#: check, and a ladder of (class, threshold field): the first pair that
+#: triggers gives the class.  A threshold field is one of QualityThresholds,
+#: one of CalibrationConstants, or the chain's AGC floor.  A row whose
+#: input is not given does not apply; classify gives no chain, so the AGC
+#: floor is recommend's alone.
+_CHECKS = (
+    ("zero_fraction", "stats", lambda g: float(np.max(g.stats.zero_fraction, initial=0.0)), gt,
+     (("PhaseUnmeasurable", "zero_fraction_max"),)),
+    ("loss_spread", "losses", lambda g: _loss_spread(g.losses), gt, _SPREAD),
+    ("max_loss", "losses", lambda g: max(g.losses), gt, (("Unstable", "max_loss_db"),)),
+    ("agc_pinned_low", "stats", _pinned_agc, eq, (("AgcSaturatedLow", "agc_min"),)),
+    ("agc_pinned_high", "stats", _pinned_agc, eq, (("AgcSaturatedHigh", "agc_max"),)),
+    # A NaN loss counts as below the floor, since it never lies at or above it.
+    ("agc_floor", "chain", lambda g: min(g.losses), lambda loss, floor: not loss >= floor,
+     (("AgcSaturatedLow", "agc_floor_loss_db"),)),
+)
+
+
+def _checks(thresholds: QualityThresholds, consts: CalibrationConstants = CalibrationConstants(),
+            stats: VariationStats | None = None, losses: list[float] | None = None, chain=None):
+    """(class, reason) of each row of _CHECKS that applies and triggers, in order.
+
+    chain, a chipsim.SimConfig, gives the AGC floor; with it, losses must be given.
+    """
+    given = SimpleNamespace(stats=stats, losses=losses, chain=chain)
+    limits = {**vars(thresholds), **vars(consts),
+              "agc_floor_loss_db": None if chain is None else chain.agc_floor_loss_db()}
+    checks = []
+    for name, needs, observe, triggers, ladder in _CHECKS:
+        if getattr(given, needs) is None:
+            continue
+        observed = observe(given)
+        for cls, field in ladder:
+            if triggers(observed, limits[field]):
+                checks.append((cls, _reason(name, limits[field], observed)))
+                break
+    return checks
 
 
 def _reason(check: str, threshold, observed) -> dict:
@@ -244,23 +279,8 @@ def classify(
     loss-based checks are then skipped and only zero-CSI and AGC pinning
     can demote the verdict.
     """
-    checks = []
-    zmax = float(stats.zero_fraction.max()) if stats.zero_fraction.size else 0.0
-    if zmax > thresholds.zero_fraction_max:
-        checks.append(("PhaseUnmeasurable", _reason(
-            "zero_fraction", thresholds.zero_fraction_max, zmax)))
-
-    if est_port_loss_db is not None:
-        checks += _loss_checks(_as_losses(est_port_loss_db), thresholds)
-
-    readouts = set(stats.agc_readouts)
-    if readouts == {consts.agc_min}:
-        checks.append(("AgcSaturatedLow", _reason(
-            "agc_pinned_low", consts.agc_min, consts.agc_min)))
-    elif readouts == {consts.agc_max}:
-        checks.append(("AgcSaturatedHigh", _reason(
-            "agc_pinned_high", consts.agc_max, consts.agc_max)))
-
+    losses = None if est_port_loss_db is None else _as_losses(est_port_loss_db)
+    checks = _checks(thresholds, consts, stats, losses)
     return QualityVerdict(cls=_most_severe(checks),
                           reasons=[reason for _, reason in checks])
 
