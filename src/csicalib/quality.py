@@ -196,12 +196,13 @@ def _as_losses(est_port_loss_db) -> list[float]:
     return [math.inf if l is None else float(l) for l in est_port_loss_db]
 
 
-def _loss_spread(losses) -> float:
-    if len(losses) < 2:
+def _spread(values) -> float:
+    """The largest minus the smallest value: infinite where one is, 0 for fewer than two."""
+    if len(values) < 2:
         return 0.0
-    if any(math.isinf(l) for l in losses):
+    if any(math.isinf(v) for v in values):
         return math.inf
-    return max(losses) - min(losses)
+    return max(values) - min(values)
 
 
 def _pinned_agc(given) -> float:
@@ -214,7 +215,8 @@ _SPREAD = (("PhaseUnmeasurable", "spread_unmeasurable_db"), ("Degraded", "spread
 
 #: Every check of a verdict, in the order of its reasons (docs/FORMATS.md).
 #: A row holds the check's name, the input it needs (the capture's stats,
-#: the port losses or the chain), how its observed value is read from the
+#: the port losses, the stats' port powers when no losses are given, or the
+#: chain), how its observed value is read from the
 #: inputs, the comparison of that value with a threshold that triggers the
 #: check, and a ladder of (class, threshold field): the first pair that
 #: triggers gives the class.  A threshold field is one of QualityThresholds,
@@ -224,7 +226,9 @@ _SPREAD = (("PhaseUnmeasurable", "spread_unmeasurable_db"), ("Degraded", "spread
 _CHECKS = (
     ("zero_fraction", "stats", lambda g: float(np.max(g.stats.zero_fraction, initial=0.0)), gt,
      (("PhaseUnmeasurable", "zero_fraction_max"),)),
-    ("loss_spread", "losses", lambda g: _loss_spread(g.losses), gt, _SPREAD),
+    ("loss_spread", "losses", lambda g: _spread(g.losses), gt, _SPREAD),
+    ("power_spread", "powers", lambda g: _spread([p for p in g.powers if not math.isnan(p)]), gt,
+     _SPREAD),
     ("max_loss", "losses", lambda g: max(g.losses), gt, (("Unstable", "max_loss_db"),)),
     ("agc_pinned_low", "stats", _pinned_agc, eq, (("AgcSaturatedLow", "agc_min"),)),
     ("agc_pinned_high", "stats", _pinned_agc, eq, (("AgcSaturatedHigh", "agc_max"),)),
@@ -240,7 +244,9 @@ def _checks(thresholds: QualityThresholds, consts: CalibrationConstants = Calibr
 
     chain, a chipsim.SimConfig, gives the AGC floor; with it, losses must be given.
     """
-    given = SimpleNamespace(stats=stats, losses=losses, chain=chain)
+    # Without losses, the spread of the measured port powers is theirs: tx cancels.
+    powers = None if stats is None or losses is not None else stats.port_power_mean_dbm.tolist()
+    given = SimpleNamespace(stats=stats, losses=losses, powers=powers, chain=chain)
     limits = {**vars(thresholds), **vars(consts),
               "agc_floor_loss_db": None if chain is None else chain.agc_floor_loss_db()}
     checks = []
@@ -276,8 +282,10 @@ def classify(
     """Classify a capture against the loss / spread / saturation criteria.
 
     est_port_loss_db may be None when no loss estimate is available; the
-    loss-based checks are then skipped and only zero-CSI and AGC pinning
-    can demote the verdict.
+    loss checks are then skipped, and the spread of the measured port
+    powers, over the ports that have one, is checked in their place,
+    since the transmit power cancels from it.  Zero CSI, AGC pinning and
+    that spread can then demote the verdict.
     """
     losses = None if est_port_loss_db is None else _as_losses(est_port_loss_db)
     checks = _checks(thresholds, consts, stats, losses)

@@ -111,6 +111,27 @@ def test_analyze_verdict(tmp_path):
     assert (out / "stats.csv").exists()
 
 
+@pytest.mark.parametrize("weak_db, spread", [(50.0, 20.0), (60.0, 30.0)])
+def test_analyze_without_tx_power_checks_the_spread_of_the_port_powers(tmp_path, weak_db,
+                                                                       spread):
+    # A weak port 20 or 30 dB below the others: its pairs' phase STDs are
+    # about 5.9 and 16 degrees, against 0.8 on the strong pair.  Without
+    # --tx-power these read Reliable until the spread of the measured
+    # powers was checked.
+    config = SimConfig(attenuation_db=(30.0, 30.0, weak_db), n_packets=200, seed=1)
+    trace = tmp_path / "weak.txt"
+    trace.write_text(write_text_trace(simulate_capture(config, REALISTIC_DISTORTION)))
+    assert main(["analyze", "--in", str(trace), "--out", str(tmp_path / "no_tx")]) == 0
+    assert json.loads((tmp_path / "no_tx" / "verdict.json").read_text()) == {
+        "class": "Degraded",
+        "reasons": [{"check": "power_spread", "threshold": 10.0, "observed": spread}]}
+    assert main(["analyze", "--in", str(trace), "--out", str(tmp_path / "tx"),
+                 "--tx-power", "-3"]) == 0
+    verdict = json.loads((tmp_path / "tx" / "verdict.json").read_text())
+    assert verdict == {"class": "Degraded", "reasons": [
+        {"check": "loss_spread", "threshold": 10.0, "observed": spread}]}
+
+
 def test_analyze_manifest_records_every_argument_but_out(tmp_path):
     trace = tmp_path / "trace.txt"
     trace.write_text(_capture_text())

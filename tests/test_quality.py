@@ -111,6 +111,27 @@ def test_classify_unmeasurable_from_zero_fraction(consts):
     assert "zero_fraction" in checks
 
 
+def test_classify_without_losses_checks_the_spread_of_the_port_powers():
+    def verdict(powers, losses=None, thresholds=QualityThresholds()):
+        stats = _stats(agc=(27, 28, 40))
+        stats.port_power_mean_dbm = np.array(powers)
+        return classify(stats, losses, thresholds)
+
+    weak = verdict([-33.0, -33.0, -53.0])
+    assert (weak.cls, weak.reasons) == ("Degraded", [
+        {"check": "power_spread", "threshold": 10.0, "observed": 20.0}])
+    # Only the ports that read present count; fewer than two have no spread.
+    far = verdict([-33.0, np.nan, -73.5])
+    assert (far.cls, far.reasons) == ("PhaseUnmeasurable", [
+        {"check": "power_spread", "threshold": 30.0, "observed": 40.5}])
+    assert verdict([-33.0, np.nan, np.nan]).cls == "Reliable"
+    assert verdict([-33.0, -36.0, -39.0]).cls == "Reliable"
+    assert verdict([-33.0, -36.0, -39.0], thresholds=QualityThresholds(
+        spread_reliable_db=5.0)).cls == "Degraded"
+    # Given losses, their spread is checked, not the powers'.
+    assert verdict([-33.0, np.nan, -73.5], [30, 30, 30]).reasons == []
+
+
 def test_classify_agc_pinning(consts):
     low = classify(_stats(agc=(26, 26, 26)), [20, 20, 20])
     assert low.cls == "AgcSaturatedLow"

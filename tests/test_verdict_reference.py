@@ -5,7 +5,9 @@ condition stated twice in recommend).
 
 The library states every check once, in quality._CHECKS.  The reasons of
 every verdict, in order, and every ControlAction must be those of the
-reference below.
+reference below, but for one check added to the table since: with no
+losses, classify checks the spread of the measured port powers
+(power_spread, see _with_power_spread).
 """
 
 import math
@@ -114,7 +116,28 @@ def _ref_recommend(est_port_loss_db, settings, chain, thresholds):
     return ControlAction(added, feasible=True, predicted_class=_ref_most_severe(checks))
 
 
-def _stats(zero_fraction, agc_readouts):
+def _with_power_spread(stats, losses, thresholds, verdict):
+    """(class, reasons) of a verdict of the reference with power_spread added.
+
+    With no losses, the spread of the port powers that are not NaN is
+    checked as loss_spread checks the losses', and its reason follows that
+    of zero_fraction.
+    """
+    cls, reasons = verdict
+    if losses is not None:
+        return verdict
+    present = [p for p in stats.port_power_mean_dbm.tolist() if not math.isnan(p)]
+    spread = max(present) - min(present) if len(present) > 1 else 0.0
+    for spread_cls, limit in (("PhaseUnmeasurable", thresholds.spread_unmeasurable_db),
+                              ("Degraded", thresholds.spread_reliable_db)):
+        if spread > limit:
+            at = int(bool(reasons) and reasons[0]["check"] == "zero_fraction")
+            reasons = [*reasons[:at], _ref_reason("power_spread", limit, spread), *reasons[at:]]
+            return _ref_most_severe([(cls, None), (spread_cls, None)]), reasons
+    return verdict
+
+
+def _stats(zero_fraction, agc_readouts, powers=(-40.0,)):
     n_rx = max(len(zero_fraction), 1)
     return VariationStats(
         amp_mean_dbm=np.zeros((n_rx, 30)),
@@ -124,7 +147,7 @@ def _stats(zero_fraction, agc_readouts):
         zero_fraction=np.asarray(zero_fraction, dtype=float),
         pairs=((1, 0), (2, 1), (0, 2)),
         agc_readouts=tuple(agc_readouts),
-        port_power_mean_dbm=np.full(n_rx, -40.0),
+        port_power_mean_dbm=np.asarray(powers, dtype=float),
         n_records=len(agc_readouts),
     )
 
@@ -157,17 +180,25 @@ def _consts_and_readouts(draw):
 
 @settings(max_examples=600, deadline=None)
 @given(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])), max_size=3),
-       _consts_and_readouts(), st.one_of(st.none(), _losses), _thresholds)
+       _consts_and_readouts(), st.one_of(st.none(), _losses), _thresholds,
+       st.lists(st.one_of(st.floats(-100.0, 0.0), st.just(math.nan)), max_size=3))
 @example([0.0, 1.0, 1.0], (CalibrationConstants(), [26, 26]), [30, 80, 80],
-         QualityThresholds())
-@example([0.0], (CalibrationConstants(), [20, 26]), None, QualityThresholds())
+         QualityThresholds(), [-33.0, -83.0, -83.0])
+@example([0.0], (CalibrationConstants(), [20, 26]), None, QualityThresholds(), [-40.0])
 @example([0.0, 0.0], (CalibrationConstants(), [63, 63]), [None, 10],
-         QualityThresholds(math.inf, math.inf, math.inf))
-def test_classify_matches_the_reference(zero_fraction, consts_and_readouts, losses, thresholds):
+         QualityThresholds(math.inf, math.inf, math.inf), [-40.0, -40.0])
+@example([0.0, 1.0, 0.0], (CalibrationConstants(), [63, 63]), None, QualityThresholds(),
+         [-33.0, -33.0, -53.0])
+@example([0.0, 0.0, 1.0], (CalibrationConstants(), [26, 26]), None, QualityThresholds(),
+         [-33.0, -73.0, math.nan])
+def test_classify_matches_the_reference(zero_fraction, consts_and_readouts, losses, thresholds,
+                                        powers):
     consts, readouts = consts_and_readouts
-    stats = _stats(zero_fraction, readouts)
+    stats = _stats(zero_fraction, readouts, powers)
     verdict = classify(stats, losses, thresholds, consts)
-    assert (verdict.cls, verdict.reasons) == _ref_classify(stats, losses, thresholds, consts)
+    want = _with_power_spread(stats, losses, thresholds,
+                              _ref_classify(stats, losses, thresholds, consts))
+    assert (verdict.cls, verdict.reasons) == want
     if losses is not None:
         assert classify_losses(losses, thresholds) == _ref_most_severe(
             _ref_loss_checks(_ref_as_losses(losses), thresholds))
