@@ -124,13 +124,18 @@ class PhaseDistortion:
     per-subcarrier slope growing per packet, pdd_jitter_deg is a random
     common offset per packet, and delta_deg are the constant per-port
     offsets from the PLL locking point, one per port (simulate_capture
-    reads the first n_rx).
+    reads the first n_rx).  A value that is not finite (NaN or an
+    infinity) raises ConfigError when the distortion is built.
     """
 
     cfo_rate_deg: float = 0.0
     sfo_slope_deg: float = 0.0
     pdd_jitter_deg: float = 0.0
     delta_deg: tuple[float, ...] = (0.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        _reject_nan(self, "cfo_rate_deg", "sfo_slope_deg", "pdd_jitter_deg", "delta_deg",
+                    finite=True)
 
 
 def _linear_scales(config: SimConfig) -> tuple[list[float], float, float]:

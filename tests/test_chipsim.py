@@ -282,6 +282,21 @@ def test_an_infinite_multipath_tap_raises_when_built(field, value):
         MultipathTap(**{field: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["cfo_rate_deg", "sfo_slope_deg", "pdd_jitter_deg",
+                                   "delta_deg"])
+def test_a_distortion_that_is_not_finite_raises_when_built(field, value):
+    # Such a distortion used to build, then fail in simulate_capture with
+    # "the simulated chain leaves the float range", naming no field.
+    message = ("must be a number, got NaN" if math.isnan(value)
+               else "must be finite, got an infinity")
+    given = (0.0, value, 0.0) if field == "delta_deg" else value
+    with pytest.raises(ConfigError, match=f"{field} {message}"):
+        PhaseDistortion(**{field: given})
+    with pytest.raises(ConfigError, match=f"{field} {message}"):
+        replace(PhaseDistortion(), **{field: given})
+
+
 def test_an_infinite_chain_is_refused_before_recommend():
     # recommend used to raise OverflowError on an infinite transmit power.
     with pytest.raises(ConfigError, match="tx_power_dbm must be finite, got an infinity"):
