@@ -70,10 +70,11 @@ def recommend(
 
     The action is decided by the verdict's checks under thresholds: the
     loss rows of quality's table, those of classify_losses, and on the
-    feasible path its AGC-floor row on chain.  An unmeasured port (a loss of None or
-    infinity) or a loss above the ceiling makes the action infeasible under
-    any thresholds, since the weakest channel can never be helped by adding
-    attenuation: it adds nothing and predicts the class of the losses.
+    feasible path its AGC-floor row on chain.  An unmeasured port (a loss
+    of None or infinity) or a loss above the ceiling makes the action
+    infeasible under any thresholds, since the weakest channel can never
+    be helped by adding attenuation: it adds nothing and predicts the
+    class of the losses.
     When no check triggers and no port sits below the AGC floor of chain,
     the chain the losses were measured on, the action is zero and predicts
     Reliable.  Otherwise every port is lifted to a common floor in whole

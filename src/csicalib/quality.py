@@ -215,14 +215,14 @@ _SPREAD = (("PhaseUnmeasurable", "spread_unmeasurable_db"), ("Degraded", "spread
 
 #: Every check of a verdict, in the order of its reasons (docs/FORMATS.md).
 #: A row holds the check's name, the input it needs (the capture's stats,
-#: the port losses, the stats' port powers when no losses are given, or the
-#: chain), how its observed value is read from the
-#: inputs, the comparison of that value with a threshold that triggers the
-#: check, and a ladder of (class, threshold field): the first pair that
-#: triggers gives the class.  A threshold field is one of QualityThresholds,
-#: one of CalibrationConstants, or the chain's AGC floor.  A row whose
-#: input is not given does not apply; classify gives no chain, so the AGC
-#: floor is recommend's alone.
+#: the port losses, the stats' port powers when no losses are given, or
+#: the chain), how its observed value is read from the inputs, the
+#: comparison of that value with a threshold that triggers the check, and
+#: a ladder of (class, threshold field): the first pair that triggers gives
+#: the class.  A threshold field is one of QualityThresholds, one of
+#: CalibrationConstants, or the chain's AGC floor.  A row whose input is
+#: not given does not apply; classify gives no chain, so the AGC floor is
+#: recommend's alone.
 _CHECKS = (
     ("zero_fraction", "stats", lambda g: float(np.max(g.stats.zero_fraction, initial=0.0)), gt,
      (("PhaseUnmeasurable", "zero_fraction_max"),)),
