@@ -207,8 +207,8 @@ def _spread(values) -> float:
 
 def _pinned_agc(given) -> float:
     """The AGC readout of every record of the stats when all read one value; else NaN."""
-    readouts = set(given.stats.agc_readouts)
-    return readouts.pop() if len(readouts) == 1 else math.nan
+    readouts = given.stats.agc_readouts
+    return readouts[0] if readouts and readouts.count(readouts[0]) == len(readouts) else math.nan
 
 
 _SPREAD = (("PhaseUnmeasurable", "spread_unmeasurable_db"), ("Degraded", "spread_reliable_db"))
@@ -224,7 +224,7 @@ _SPREAD = (("PhaseUnmeasurable", "spread_unmeasurable_db"), ("Degraded", "spread
 #: not given does not apply; classify gives no chain, so the AGC floor is
 #: recommend's alone.
 _CHECKS = (
-    ("zero_fraction", "stats", lambda g: float(np.max(g.stats.zero_fraction, initial=0.0)), gt,
+    ("zero_fraction", "stats", lambda g: float(g.stats.zero_fraction.max(initial=0.0)), gt,
      (("PhaseUnmeasurable", "zero_fraction_max"),)),
     ("loss_spread", "losses", lambda g: _spread(g.losses), gt, _SPREAD),
     ("power_spread", "powers", lambda g: _spread([p for p in g.powers if not math.isnan(p)]), gt,
