@@ -71,7 +71,7 @@ def recommend(
     The action is decided by the verdict's checks under thresholds: the
     loss rows of quality's table, those of classify_losses, and on the
     feasible path its AGC-floor row on chain.  An unmeasured port (a loss
-    of None or infinity) or a loss above the ceiling makes the action
+    of None, NaN or infinity) or a loss above the ceiling makes the action
     infeasible under any thresholds, since the weakest channel can never
     be helped by adding attenuation: it adds nothing and predicts the
     class of the losses.

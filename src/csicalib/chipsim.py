@@ -60,10 +60,10 @@ class SimConfig:
     for this chain.
 
     A SimConfig is checked when it is built, dataclasses.replace included:
-    values out of range, a NaN power or loss, a tx_power_dbm that is not
-    finite, an adc_ref_amplitude not above 0, a chain whose linear powers
-    or count scale leave the float range, and multipath taps that cancel
-    to a zero channel raise ConfigError.  An infinite attenuation, a port
+    values out of range, a NaN power or loss, a tx_power_dbm or an
+    adc_target_dbm that is not finite, an adc_ref_amplitude not above 0, a
+    chain whose linear powers or count scale leave the float range, and
+    multipath taps that cancel to a zero channel raise ConfigError.  An infinite attenuation, a port
     that reads nothing, and a noise_floor_dbm of -inf simulate.
     """
 
@@ -89,7 +89,7 @@ class SimConfig:
             raise ConfigError("attenuation_db needs 1 to 3 entries")
         if len(self.multipath) < 1:
             raise ConfigError("at least one multipath tap required")
-        _reject_nan(self, "tx_power_dbm", finite=True)
+        _reject_nan(self, "tx_power_dbm", "adc_target_dbm", finite=True)
         _reject_nan(self, "noise_floor_dbm", "attenuation_db")
         if not self.adc_ref_amplitude > 0:
             raise ConfigError(f"adc_ref_amplitude must be > 0, got {self.adc_ref_amplitude}")

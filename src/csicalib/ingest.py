@@ -745,46 +745,52 @@ def _from_canonical_block(lines: list[str]) -> Capture | None:
     return None if _csi_faults(csi[None]) else _capture_of(header, csi)
 
 
-def _from_json_line(line: str, lineno: int) -> Capture:
-    """The Capture of any JSON object line, of no record for a blank line.
+def _from_json_block(lines: list[str], first: int) -> Capture:
+    """The Capture of any JSON object lines, numbered from first; blank lines are skipped.
 
-    Raises SchemaError, with the line number, for every other line.
+    Each line is read with json.loads into its 13 header values, in
+    _TEXT_FIELDS order, and its flat csi.  The line's types and lengths are
+    checked as it is read, then its row passes the header and CSI rules, so
+    the first faulty line raises SchemaError with its line number.
     """
-    if not line.strip():
-        return _from_canonical_block([])
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(lineno, f"invalid JSON: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise SchemaError(lineno, "JSON nested too deeply") from exc
-    except ValueError as exc:  # an integer longer than int() converts
-        raise SchemaError(lineno, f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise SchemaError(lineno, "record must be a JSON object")
-    missing = [f for f in _TEXT_FIELDS if f not in obj]
-    if missing:
-        raise SchemaError(lineno, f"missing fields: {', '.join(missing)}")
-    try:
-        ints = {name: _json_int(obj[name], name, lineno) for name in _INT_FIELDS}
-        n_rx, n_tx = ints["n_rx"], ints["n_tx"]
-        pairs = obj["csi"]
-        if len(pairs) != N_SUBCARRIERS * n_rx * n_tx:
-            raise SchemaError(lineno, f"csi has {len(pairs)} entries, "
-                                      f"expected {N_SUBCARRIERS * n_rx * n_tx}")
-        if not all(type(real) is int and type(imag) is int for real, imag in pairs):
-            raise SchemaError(lineno, "csi components must be JSON integers")
-        flat = np.array([complex(real, imag) for real, imag in pairs], dtype=np.complex128)
-        record = RawCsiRecord(
-            **ints, rssi=tuple(_json_int(r, "rssi", lineno) for r in obj["rssi"]),
-            antenna_perm=tuple(_json_int(p, "antenna_perm", lineno) for p in obj["antenna_perm"]),
-            csi=flat.reshape(N_SUBCARRIERS, n_rx, n_tx))
-        record.validate()
-    except SchemaError:
-        raise
-    except (TypeError, ValueError, KeyError, OverflowError, InvariantViolation) as exc:
-        raise SchemaError(lineno, str(exc)) from exc
-    return as_capture([record])
+    headers, flats = [], [np.empty(0, np.complex128)]
+    for lineno, line in enumerate(lines, start=first):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except RecursionError as exc:
+            raise SchemaError(lineno, "JSON nested too deeply") from exc
+        except ValueError as exc:  # a JSONDecodeError, or an integer longer than int() converts
+            raise SchemaError(lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
+        if not isinstance(obj, dict):
+            raise SchemaError(lineno, "record must be a JSON object")
+        if missing := [f for f in _TEXT_FIELDS if f not in obj]:
+            raise SchemaError(lineno, f"missing fields: {', '.join(missing)}")
+        try:
+            ints = [_json_int(obj[name], name, lineno) for name in _INT_FIELDS]
+            pairs, size = obj["csi"], N_SUBCARRIERS * ints[2] * ints[3]
+            if len(pairs) != size:
+                raise SchemaError(lineno, f"csi has {len(pairs)} entries, expected {size}")
+            if not all(type(real) is int and type(imag) is int for real, imag in pairs):
+                raise SchemaError(lineno, "csi components must be JSON integers")
+            flat = np.array([complex(real, imag) for real, imag in pairs], dtype=np.complex128)
+            rssi = [_json_int(r, "rssi", lineno) for r in obj["rssi"]]
+            perm = [_json_int(p, "antenna_perm", lineno) for p in obj["antenna_perm"]]
+            csi = flat.reshape(N_SUBCARRIERS, *ints[2:4])
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
+            raise SchemaError(lineno, str(exc)) from exc
+        if len(rssi) != 3 or len(perm) != 3:  # not three values breaks their range rule
+            raise SchemaError(lineno, _HEADER_RULES[4 if len(rssi) != 3 else 8][0])
+        header = [*ints[:4], *rssi, *ints[4:6], *perm, ints[6]]
+        # Bounded to -129..2**32 as _checked bounds them, the values break the
+        # rules they broke.
+        row = np.array([[min(max(v, -129), 2**32) for v in header]])
+        if fault := _header_faults(row) or _csi_faults(csi[None]):
+            raise SchemaError(lineno, fault[1])
+        headers.append(header)
+        flats.append(flat)
+    return _capture_of(np.array(headers, dtype=np.int64).reshape(-1, 13), np.concatenate(flats))
 
 
 def _line_blocks(text: str):
@@ -826,22 +832,16 @@ def parse_text_trace(text: str) -> Capture:
     write_text_trace's canonical form is read by _from_canonical_block: a
     regular expression and a bytes.translate per line, then array checks
     and one np.fromstring call for the whole block.  If any line of a block
-    is not canonical or fails a check, each of its lines is read alone,
-    through _from_canonical_block and, if that fails, with json.loads,
-    which raises every error.  So the first faulty line raises, with the
-    error it would raise if every line were read with json.loads.  Each
-    block's header values and csi become columns as they are read: each
-    run of its records of one layout is a part of the Capture, a view of
-    the block's csi.
+    is not canonical or fails a check, _from_json_block reads every line of
+    the block with json.loads, and raises every error: the first faulty
+    line raises, with the error it would raise if every line were read
+    with json.loads.  Either way the block's header values and csi become
+    columns as they are read: each run of its records of one layout is a
+    part of the Capture, a view of the block's csi.
     """
     blocks = []
     for first, lines in _line_blocks(text):
         block = _from_canonical_block(lines)
-        if block is not None:
-            blocks.append(block)
-            continue
-        for lineno, line in enumerate(lines, start=first):
-            block = _from_canonical_block([line])
-            blocks.append(_from_json_line(line, lineno) if block is None else block)
+        blocks.append(_from_json_block(lines, first) if block is None else block)
     return Capture(*(np.concatenate([getattr(b, name) for b in blocks]) for name in _COLUMNS),
                    tuple(csi for b in blocks for csi in b.parts))

@@ -19,7 +19,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from operator import eq, gt
+from operator import eq, gt, lt
 from types import SimpleNamespace
 
 import numpy as np
@@ -192,8 +192,8 @@ def classify_losses(est_port_loss_db, thresholds: QualityThresholds = QualityThr
 
 
 def _as_losses(est_port_loss_db) -> list[float]:
-    """Loss per port as floats; None (unmeasured) becomes infinity."""
-    return [math.inf if l is None else float(l) for l in est_port_loss_db]
+    """Loss per port as floats; None or NaN (unmeasured) becomes infinity."""
+    return [math.inf if l is None or math.isnan(l) else float(l) for l in est_port_loss_db]
 
 
 def _spread(values) -> float:
@@ -232,8 +232,7 @@ _CHECKS = (
     ("max_loss", "losses", lambda g: max(g.losses), gt, (("Unstable", "max_loss_db"),)),
     ("agc_pinned_low", "stats", _pinned_agc, eq, (("AgcSaturatedLow", "agc_min"),)),
     ("agc_pinned_high", "stats", _pinned_agc, eq, (("AgcSaturatedHigh", "agc_max"),)),
-    # A NaN loss counts as below the floor, since it never lies at or above it.
-    ("agc_floor", "chain", lambda g: min(g.losses), lambda loss, floor: not loss >= floor,
+    ("agc_floor", "chain", lambda g: min(g.losses), lt,
      (("AgcSaturatedLow", "agc_floor_loss_db"),)),
 )
 

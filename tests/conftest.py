@@ -10,6 +10,20 @@ def consts():
     return CalibrationConstants()
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The number of RawCsiRecord objects built since the test began."""
+    count = [0]
+    init = RawCsiRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RawCsiRecord, "__init__", counting_init)
+    return count
+
+
 def ref_layout_runs(records):
     """A slice for each run of consecutive records of one (n_rx, n_tx).
 

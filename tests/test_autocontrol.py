@@ -110,6 +110,16 @@ def test_a_lift_rounded_up_to_a_whole_db_stops_at_the_ceiling():
     assert action == ControlAction((0.0, 10.0), True, "Reliable")
 
 
+@pytest.mark.parametrize("losses", [[math.nan, 40], [40, math.nan]])
+def test_a_nan_loss_is_an_unmeasured_port(losses):
+    # [nan, 40] used to raise a bare ValueError and [40, nan] to return a
+    # zero Reliable action: NaN reads as unmeasured, as None does.
+    action = recommend(losses)
+    assert action == recommend([math.inf, 40])
+    assert not action.feasible and action.is_zero()
+    assert action.predicted_class == "PhaseUnmeasurable"
+
+
 def test_estimate_losses_maps_nan_to_inf():
     losses = estimate_losses(np.array([-36.0, np.nan, -39.5]), -3.0)
     assert losses == (33.0, math.inf, 36.5)

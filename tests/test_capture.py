@@ -16,7 +16,6 @@ import pytest
 
 from csicalib import (
     Capture,
-    RawCsiRecord,
     SimConfig,
     calibrate,
     check_ratio_consistency,
@@ -314,20 +313,6 @@ def test_a_capture_is_its_parts_as_they_are():
 
 
 # --- no record is built ------------------------------------------------------
-
-@pytest.fixture
-def built(monkeypatch):
-    """The number of RawCsiRecord objects built since the test began."""
-    count = [0]
-    init = RawCsiRecord.__init__
-
-    def counting_init(self, *args, **kwargs):
-        count[0] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(RawCsiRecord, "__init__", counting_init)
-    return count
-
 
 def test_reading_a_capture_builds_no_record(built, consts):
     capture = _simulated(3)

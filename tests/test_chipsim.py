@@ -255,6 +255,11 @@ _OUT_OF_RANGE = [
     # An infinite transmit power used to build, then fail in simulate_capture.
     ({"tx_power_dbm": math.inf}, "tx_power_dbm must be finite, got an infinity"),
     ({"tx_power_dbm": -math.inf}, "tx_power_dbm must be finite, got an infinity"),
+    # An infinite ADC target used to build and simulate all-zero CSI, with
+    # an AGC floor of -inf; NaN and -inf got the message of the float range.
+    ({"adc_target_dbm": math.nan}, "adc_target_dbm must be a number, got NaN"),
+    ({"adc_target_dbm": math.inf}, "adc_target_dbm must be finite, got an infinity"),
+    ({"adc_target_dbm": -math.inf}, "adc_target_dbm must be finite, got an infinity"),
     ({"adc_ref_amplitude": 0.0}, "adc_ref_amplitude must be > 0, got 0.0"),
     ({"adc_ref_amplitude": -30.0}, "adc_ref_amplitude must be > 0, got -30.0"),
 ]

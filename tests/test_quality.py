@@ -78,6 +78,13 @@ def test_variation_stats_needs_two_records(consts):
         variation_stats([make_record()], consts)
 
 
+@pytest.mark.parametrize("losses", [[math.nan, 40], [40, math.nan]])
+def test_a_nan_loss_is_an_unmeasured_port(losses):
+    # A NaN loss used to read Reliable, since no comparison with NaN holds.
+    assert classify_losses(losses) == classify_losses([math.inf, 40]) == "PhaseUnmeasurable"
+    assert classify(_stats(n_rx=2), losses) == classify(_stats(n_rx=2), [math.inf, 40])
+
+
 def test_classify_losses_examples():
     assert classify_losses([33, 30, 36]) == "Reliable"
     assert classify_losses([66, 66, 66]) == "Unstable"

@@ -5,12 +5,11 @@ it field by field; the reference writer, json.dumps of one object per
 record, is in test_codec_reference.py.  The library reads a trace a block
 of lines at a time.  A block of lines in the writer's canonical form goes
 through a regular expression and a bytes.translate per line, then a byte
-check of every CSI number and one np.fromstring call for the block.  Each
-line of any other block is read alone, the same way or else with
-json.loads.  It must give the same records and the same errors (class,
-line number and message) for every input.  _REF_PAIRS, the grammar of a
-canonical CSI body as a regular expression, is the reference of the byte
-check.
+check of every CSI number and one np.fromstring call for the block.  Every
+line of any other block is read with json.loads.  It must give the same
+records and the same errors (class, line number and message) for every
+input.  _REF_PAIRS, the grammar of a canonical CSI body as a regular
+expression, is the reference of the byte check.
 """
 
 import dataclasses
@@ -205,26 +204,62 @@ def test_simulated_capture_matches_reference():
 
 def test_canonical_lines_take_the_fast_path(monkeypatch):
     # A broken fast path would fall back to json.loads and still give the
-    # right records; so note every line that reaches the fallback.
+    # right records; so note the first line of every block that reaches it.
     reached = []
-    from_json_line = ingest._from_json_line
+    from_json_block = ingest._from_json_block
 
-    def fallback(line, lineno):
-        reached.append(lineno)
-        return from_json_line(line, lineno)
+    def fallback(lines, first):
+        reached.append(first)
+        return from_json_block(lines, first)
 
     rng = np.random.default_rng(8)
     records = [random_record(rng) for _ in range(200)] + [_BASE]
-    monkeypatch.setattr(ingest, "_from_json_line", fallback)
+    monkeypatch.setattr(ingest, "_from_json_block", fallback)
+    _assert_same_records(parse_text_trace(write_text_trace(records)), records)
+    assert reached == []
+    # A whitespace-only line is not canonical: its block, the last, is read
+    # with json.loads.
     _assert_same_records(parse_text_trace(write_text_trace(records) + "\n  \n"), records)
-    assert reached == [203]  # the whitespace-only line; the empty ones are skipped
-    # In a block holding one non-canonical line, only that line falls back.
+    assert reached == [3 * _TEXT_BLOCK_LINES + 1]
+    # So is the whole block of a non-canonical line, and no other block.
     lines = write_text_trace(records).split("\n")
-    at = ingest._TEXT_BLOCK_LINES + 6
+    at = _TEXT_BLOCK_LINES + 6
     lines[at] = json.dumps(json.loads(lines[at]))
     reached.clear()
     _assert_same_records(parse_text_trace("\n".join(lines)), records)
-    assert reached == [at + 1]
+    assert reached == [_TEXT_BLOCK_LINES + 1]
+
+
+def _rewritten(text, keys):
+    """Each line of a canonical trace as json.dumps writes it, with its keys in order keys."""
+    return "".join(json.dumps({k: obj[k] for k in keys(obj)}) + "\n"
+                   for obj in map(json.loads, text.splitlines()))
+
+
+@pytest.mark.parametrize("keys", [list, lambda obj: list(reversed(obj))])
+def test_non_canonical_trace_parses_as_its_canonical_form(keys, built):
+    rng = np.random.default_rng(27)
+    text = write_text_trace([random_record(rng) for _ in range(200)])
+    canonical = parse_text_trace(text)
+    spaced = _rewritten(text, keys)
+    assert spaced != text and len(spaced.splitlines()) == 200
+    built[0] = 0
+    parsed = parse_text_trace(spaced)
+    assert built[0] == 0
+    # Each block is one Capture, as a canonical block is: the parts are the
+    # same runs of one layout, not one per record.
+    assert [csi.shape for csi in parsed.parts] == [csi.shape for csi in canonical.parts]
+    assert len(parsed.parts) < 200
+    assert parsed == canonical
+    for name in ingest._COLUMNS:
+        assert getattr(parsed, name).dtype == getattr(canonical, name).dtype
+
+
+def test_faulty_canonical_line_before_invalid_json_in_one_block():
+    # The canonical reader refuses the block; the JSON reader raises the
+    # first faulty line's error.
+    text = _three_lines(_replaced('"agc":28', '"agc":300')) + "not json\n"
+    assert _assert_same_outcome(text) == (SchemaError, 2, "line 2: agc out of u8 range")
 
 
 def test_blank_lines_and_crlf_match_reference():
