@@ -88,6 +88,9 @@ def _load_json(path: str) -> dict:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        where = f"{exc.reason} at byte {exc.start}"
+        raise ConfigError(f"config {path} is not UTF-8 text: {where}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -193,7 +196,8 @@ def _read_trace(path: str):
 def _cmd_parse(args) -> None:
     in_path, out_path = Path(args.in_path), Path(args.out)
     if args.format == "binary":
-        out_path.write_text(write_text_trace(parse_binary_trace(in_path.read_bytes())))
+        out_path.write_text(write_text_trace(parse_binary_trace(in_path.read_bytes())),
+                            encoding="utf-8")
     else:
         out_path.write_bytes(encode_binary_trace(_read_trace(args.in_path)))
 
@@ -231,7 +235,9 @@ def _cmd_analyze(args, write) -> None:
     if args.tx_power is not None:
         losses = estimate_losses(stats.port_power_mean_dbm, args.tx_power)
     verdict = classify(stats, losses, QualityThresholds(), consts)
-    write("stats.csv", stats_to_csv([(Path(args.in_path).name, stats)]))
+    # The file name's bytes as UTF-8, however the locale decoded them.
+    name = os.fsencode(Path(args.in_path).name).decode("utf-8", "replace")
+    write("stats.csv", stats_to_csv([(name, stats)]))
     write("verdict.json", verdict.to_json() + "\n")
     if stats.n_records < 5:
         print("warning: fewer than 5 records; variance estimates are wide",
@@ -296,9 +302,9 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
 
     def write(name: str, text: str) -> None:
-        """Write the file name into --out, which the first call makes."""
+        """Write the file name into --out, which the first call makes, as UTF-8."""
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / name).write_text(text)
+        (out_dir / name).write_text(text, encoding="utf-8")
 
     try:
         if args.command == "parse":

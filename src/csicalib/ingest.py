@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import re
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -120,11 +119,11 @@ def _record_fault(record: RawCsiRecord) -> str | None:
     """The message of the first check that only a record, not an array, can fail.
 
     The header values and the rssi and antenna_perm entries must be Python
-    ints, as the text parser reads them: a float or a numpy integer would
-    fail later, in struct or json.  rssi and antenna_perm must hold three
-    values, which a value whose len() raises (an int, a 0-d numpy array)
-    does not, and the csi must have the shape of n_rx and n_tx.  None if
-    the record passes.
+    ints, as the text parser reads them: the binary encoder would truncate
+    a float, and json fails on a numpy integer.  rssi and antenna_perm must
+    hold three values, which a value whose len() raises (an int, a 0-d
+    numpy array) does not, and the csi must have the shape of n_rx and
+    n_tx.  None if the record passes.
     """
     for name in _INT_FIELDS:
         value = getattr(record, name)
@@ -352,6 +351,12 @@ def common_n_rx(records: Capture | list[RawCsiRecord]) -> int:
     return int(n_rx[0])
 
 
+def _part_shapes(capture: Capture) -> np.ndarray:
+    """The shape of each part of a capture: (P, 4)."""
+    return np.fromiter(itertools.chain.from_iterable(csi.shape for csi in capture.parts),
+                       dtype=np.intp).reshape(-1, 4)
+
+
 def _checked(records: Capture | list[RawCsiRecord]):
     """Yield the (T, 13) header of a capture of valid records, then its layouts.
 
@@ -370,25 +375,32 @@ def _checked(records: Capture | list[RawCsiRecord]):
     if isinstance(records, Capture):
         # A column's dtype is the type of each row's value, and a part's
         # shape each row's csi shape.
+        shapes = _part_shapes(records)
         suspects = [] if {getattr(records, name).dtype.kind for name in _COLUMNS} <= {"i", "u"} else [0]
-        suspects += [rows.start for rows, csi in records.blocks() if csi.shape[1] != N_SUBCARRIERS]
+        suspects += (np.cumsum(shapes[:, 0]) - shapes[:, 0])[shapes[:, 1] != N_SUBCARRIERS].tolist()
     fault = next(((t, m) for t in suspects if (m := _record_fault(records[t]))), None)
     capture = as_capture(records[: fault[0]] if fault else records)
+    # A list's records are stacked here, and a capture cut at a fault.
+    shapes = shapes if capture is records else _part_shapes(capture)
     # Python ints past int64 leave a list's columns of another dtype.  Bounded
     # to -129..2**32, which holds every rule's range, a value breaks the rules
     # it broke.  Columns of no record stack to (0, 9).
-    columns = [capture.timestamp_low, capture.bfee_count, capture.layout(), capture.rssi,
-               capture.noise, capture.agc, capture.antenna_perm, capture.rate_flags]
+    columns = [capture.timestamp_low, capture.bfee_count, np.repeat(shapes[:, 2:], shapes[:, 0], 0),
+               capture.rssi, capture.noise, capture.agc, capture.antenna_perm, capture.rate_flags]
     header = np.column_stack(columns).reshape(-1, 13).clip(-129, 2**32).astype(np.int64, copy=False)
     fault = _header_faults(header) or fault
     if fault is None:
         yield header
-    same_layout: dict[tuple, list[np.ndarray]] = {}
-    for csi in capture.parts:
-        same_layout.setdefault(csi.shape[2:], []).append(csi)
-    for (n_rx, n_tx), same in same_layout.items():
+    # Each part's layout as one number, and the group of its layout; the
+    # layouts are taken in the order they first appear.
+    key = shapes[:, 2] * (shapes[:, 3].max(initial=0) + 1) + shapes[:, 3]
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    row_group = np.repeat(group, shapes[:, 0])
+    for g in np.argsort(first).tolist():
+        same = [capture.parts[p] for p in np.flatnonzero(group == g).tolist()]
         csi = np.concatenate(same) if len(same) > 1 else same[0]
-        rows = np.flatnonzero((header[:, 2:4] == (n_rx, n_tx)).all(axis=1))
+        _, _, n_rx, n_tx = csi.shape
+        rows = np.flatnonzero(row_group == g)
         if (csi_fault := _csi_faults(csi)) and (fault is None or rows[csi_fault[0]] < fault[0]):
             fault = int(rows[csi_fault[0]]), csi_fault[1]
         if fault is None:
@@ -399,25 +411,30 @@ def _checked(records: Capture | list[RawCsiRecord]):
 
 # --- binary format -----------------------------------------------------------
 
-# A frame's first three bytes, the length (big-endian) and the code, then the
-# 20-byte record header: little-endian, two reserved bytes at 6..7.
-_FRAME_AND_HEADER = struct.Struct("<BBBIHxxBBBBBbBBHH")
-
-
-def _decode_perm(antenna_sel: int) -> tuple[int, int, int]:
-    return (antenna_sel & 0x3, (antenna_sel >> 2) & 0x3, (antenna_sel >> 4) & 0x3)
+#: A frame's first bytes: the frame length (big-endian) and the code, then
+#: the 20-byte record header, little-endian, with two reserved bytes.
+_FRAME = np.dtype([("frame_len", ">u2"), ("code", "u1"), ("timestamp_low", "<u4"),
+                   ("bfee_count", "<u2"), ("reserved", "V2"), ("n_rx", "u1"), ("n_tx", "u1"),
+                   ("rssi", "u1", 3), ("noise", "i1"), ("agc", "u1"), ("antenna_sel", "u1"),
+                   ("payload_len", "<u2"), ("rate_flags", "<u2")])
+#: The columns of a (T, 13) header that each field of a frame holds; the
+#: two-bit antenna_perm entries, columns 9..11, are packed in antenna_sel.
+_FRAME_COLUMNS = {"timestamp_low": 0, "bfee_count": 1, "n_rx": 2, "n_tx": 3,
+                  "rssi": slice(4, 7), "noise": 7, "agc": 8, "rate_flags": 12}
+_PERM_SHIFTS = np.array([0, 2, 4])
 
 
 @functools.lru_cache(maxsize=None)
-def _component_table(n_rx: int, n_tx: int, perm: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _component_table(n_rx: int, n_tx: int, sel: int) -> tuple[np.ndarray, np.ndarray]:
     """Where each 8-bit CSI component lies in the payload of one layout.
 
-    perm is the first n_rx entries of antenna_perm.  Components are taken
-    in the order of a (30, n_rx, n_tx, 2) array: csi[k, port, t], real
-    before imaginary.  Returns (lo, shift): a component is bits
-    shift..shift+7 of the little-endian byte pair payload[lo],
-    payload[lo + 1].  The last component starts at bit 2 of its byte, so
-    lo + 1 never reaches past the payload.
+    sel is the antenna_sel of the first n_rx entries of antenna_perm, its
+    low 2 * n_rx bits.  Components are taken in the order of a
+    (30, n_rx, n_tx, 2) array: csi[k, port, t], real before imaginary.
+    Returns (lo, shift): a component is bits shift..shift+7 of the
+    little-endian byte pair payload[lo], payload[lo + 1].  The last
+    component starts at bit 2 of its byte, so lo + 1 never reaches past
+    the payload.
     """
     per_sc = 2 * n_rx * n_tx
     k = np.arange(N_SUBCARRIERS).reshape(-1, 1, 1, 1)
@@ -425,7 +442,8 @@ def _component_table(n_rx: int, n_tx: int, perm: tuple[int, ...]) -> tuple[np.nd
     # In the payload each subcarrier skips 3 bits, then runs over streams.
     stream_bits = 3 * (k + 1) + 8 * (per_sc * k + j)
     bitpos = np.empty_like(stream_bits)
-    bitpos[:, list(perm)] = stream_bits  # stream s landed on port perm[s]
+    # Stream s landed on port antenna_perm[s].
+    bitpos[:, sel >> _PERM_SHIFTS[:n_rx] & 3] = stream_bits
     bitpos = bitpos.reshape(-1)
     lo, shift = bitpos // 8, (bitpos % 8).astype(np.uint16)
     # Shared by every caller through the cache (at most 27 entries).
@@ -433,15 +451,15 @@ def _component_table(n_rx: int, n_tx: int, perm: tuple[int, ...]) -> tuple[np.nd
     return lo, shift
 
 
-def _unpack_group(view: np.ndarray, offsets: list[int], n_rx: int, n_tx: int,
-                  perm: tuple[int, ...]) -> np.ndarray:
+def _unpack_group(view: np.ndarray, offsets: np.ndarray, n_rx: int, n_tx: int,
+                  sel: int) -> np.ndarray:
     """CSI components of payloads at ``offsets``, int8 (G, 30 * n_rx * n_tx * 2).
 
     Each row in the order of a (30, n_rx, n_tx, 2) array, as _component_table's.
     """
-    lo, shift = _component_table(n_rx, n_tx, perm)
+    lo, shift = _component_table(n_rx, n_tx, sel)
     span = np.arange(csi_payload_len(n_rx, n_tx))
-    payload = view[np.asarray(offsets)[:, None] + span].astype(np.uint16)
+    payload = view[offsets[:, None] + span].astype(np.uint16)
     word = payload[:, lo + 1]
     word <<= 8
     word |= payload[:, lo]
@@ -449,10 +467,9 @@ def _unpack_group(view: np.ndarray, offsets: list[int], n_rx: int, n_tx: int,
     return word.astype(np.uint8).view(np.int8)
 
 
-def _pack_group(components: np.ndarray, n_rx: int, n_tx: int,
-                perm: tuple[int, ...]) -> np.ndarray:
+def _pack_group(components: np.ndarray, n_rx: int, n_tx: int, sel: int) -> np.ndarray:
     """Inverse of _unpack_group: uint8 payloads (G, payload_len)."""
-    lo, shift = _component_table(n_rx, n_tx, perm)
+    lo, shift = _component_table(n_rx, n_tx, sel)
     word = components.reshape(len(components), -1).view(np.uint8).astype(np.uint16)
     word <<= shift
     payload = np.zeros((len(components), csi_payload_len(n_rx, n_tx)), dtype=np.uint8)
@@ -468,64 +485,67 @@ def _pack_group(components: np.ndarray, n_rx: int, n_tx: int,
 def parse_binary_trace(data: bytes) -> Capture:
     """Decode a framed binary trace into a Capture, skipping non-CSI frames.
 
-    The frame loop checks only what needs the frame bytes: it raises
-    TruncatedRecord for dangling bytes, a frame past the input, a body
-    shorter than the header or a payload cut short, and LengthMismatch
-    when the declared CSI length disagrees with the layout.  Each CSI
-    frame's header row is kept as soon as it is read, and the header rules
-    of the record checks then run once over all rows: the first faulty
-    row raises InvariantViolation with the rule's message, as validate()
-    and the text parser do.  Where the loop stopped at a fault, a header
-    fault of that frame or an earlier one comes first (docs/FORMATS.md).
-    No payload is decoded before every header passes; the payloads of
-    each (n_rx, n_tx) layout and permutation are then decoded together,
-    into one array of every record's csi of which each run of records of
-    one layout is a part.
+    A loop walks the frame offsets, and raises TruncatedRecord for dangling
+    bytes or a frame past the input.  The frames' first bytes are then read
+    as one array through _FRAME.  Of the CSI frames, the first with a body
+    shorter than the header or a payload cut short raises TruncatedRecord,
+    and the first whose declared CSI length disagrees with its layout
+    LengthMismatch.  Each CSI frame's header row counts as read once its
+    body holds the header, and the header rules of the record checks run
+    over the rows read up to that first fault: the first faulty row raises
+    InvariantViolation with the rule's message, as validate() and the text
+    parser do.  So where the frames stop at a fault, a header fault of that
+    frame or an earlier one comes first (docs/FORMATS.md).  No payload is
+    decoded before every header passes; the payloads of each (n_rx, n_tx)
+    layout and permutation are then decoded together, into one array of
+    every record's csi of which each run of records of one layout is a part.
     """
-    headers: list[tuple] = []
-    # (n_rx, n_tx, antenna_perm[:n_rx]) -> (record indices, payload offsets)
-    groups: dict[tuple, tuple[list[int], list[int]]] = {}
-    off, total = 0, len(data)
-    stop = None  # the framing or length fault that ended the loop
-    try:
-        while off < total:
-            if total - off < 3:
-                raise TruncatedRecord(f"dangling {total - off} byte(s) at offset {off}")
-            frame_len = (data[off] << 8) | data[off + 1]
-            end = off + 2 + frame_len
-            if frame_len < 1 or end > total:
-                raise TruncatedRecord(f"frame at offset {off} exceeds input")
-            start, body, off = off, off + 3, end
-            if data[start + 2] != CSI_RECORD_CODE:
-                continue
-            if end - body < _HEADER_BYTES:
-                raise TruncatedRecord("record body shorter than fixed header")
-            (_, _, _, timestamp_low, bfee_count, n_rx, n_tx, rssi1, rssi2, rssi3, noise, agc,
-             antenna_sel, declared_len, rate_flags) = _FRAME_AND_HEADER.unpack_from(data, start)
-            perm = _decode_perm(antenna_sel)
-            headers.append((timestamp_low, bfee_count, n_rx, n_tx, rssi1, rssi2, rssi3,
-                            noise, agc, *perm, rate_flags))
-            if declared_len != (expected := csi_payload_len(n_rx, n_tx)):
-                raise LengthMismatch(f"declared {declared_len}, computed {expected}")
-            if end - body < _HEADER_BYTES + declared_len:
-                raise TruncatedRecord("CSI payload cut short")
-            index, offsets = groups.setdefault((n_rx, n_tx, perm[:n_rx]), ([], []))
-            index.append(len(headers) - 1)
-            offsets.append(body + _HEADER_BYTES)
-    except (TruncatedRecord, LengthMismatch) as exc:
-        stop = exc
-
-    header = np.array(headers, dtype=np.int64).reshape(-1, 13)
+    starts, off, total = [], 0, len(data)
+    stop = None  # the fault that ends the frames read
+    while off < total:
+        if total - off < 3:
+            stop = TruncatedRecord(f"dangling {total - off} byte(s) at offset {off}")
+            break
+        end = off + 2 + (data[off] << 8 | data[off + 1])
+        if end == off + 2 or end > total:
+            stop = TruncatedRecord(f"frame at offset {off} exceeds input")
+            break
+        starts.append(off)
+        off = end
+    view = np.frombuffer(data, np.uint8)
+    at = np.array(starts, dtype=np.intp)
+    at = at[view[at + 2] == CSI_RECORD_CODE]  # the CSI frames
+    # Bytes past the input, read as its last byte, lie in no header that is used.
+    frames = view[np.minimum(at[:, None] + np.arange(_FRAME.itemsize), total - 1)]
+    frames = frames.view(_FRAME)[:, 0]
+    frame_len, declared, n_rx, n_tx = (frames[name].astype(np.intp)
+                                       for name in ("frame_len", "payload_len", "n_rx", "n_tx"))
+    expected = csi_payload_len(n_rx, n_tx)
+    short, mismatch = frame_len < 1 + _HEADER_BYTES, declared != expected
+    if (faulty := short | mismatch | (frame_len < 1 + _HEADER_BYTES + declared)).any():
+        i = int(faulty.argmax())
+        stop = (TruncatedRecord("record body shorter than fixed header") if short[i] else
+                LengthMismatch(f"declared {declared[i]}, computed {expected[i]}") if mismatch[i]
+                else TruncatedRecord("CSI payload cut short"))
+        frames = frames[: i + (not short[i])]  # the frames whose header is read
+    header = np.empty((len(frames), 13), dtype=np.int64)
+    for name, col in _FRAME_COLUMNS.items():
+        header[:, col] = frames[name]
+    header[:, 9:12] = frames["antenna_sel"][:, None] >> _PERM_SHIFTS & 3
     if fault := _header_faults(header):
         raise InvariantViolation(fault[1])
     if stop:
         raise stop
     # Each record's CSI components, in record order, at start in values.
-    size = 2 * N_SUBCARRIERS * header[:, 2] * header[:, 3]
+    size = 2 * N_SUBCARRIERS * n_rx * n_tx
     start = np.cumsum(size) - size
     values = np.empty(int(size.sum()))
-    for layout, (index, offsets) in groups.items():
-        components = _unpack_group(np.frombuffer(data, np.uint8), offsets, *layout)
+    # The key of a packing: n_rx, n_tx and the antenna_sel of the first n_rx
+    # entries of antenna_perm.
+    key = n_rx << 8 | n_tx << 6 | (frames["antenna_sel"] & (1 << 2 * n_rx) - 1)
+    for k in np.unique(key).tolist():
+        index = np.flatnonzero(key == k)
+        components = _unpack_group(view, at[index] + 3 + _HEADER_BYTES, k >> 8, k >> 6 & 3, k & 63)
         values[start[index, None] + np.arange(components.shape[1])] = components
     return _capture_of(header, values.view(np.complex128))
 
@@ -533,27 +553,30 @@ def parse_binary_trace(data: bytes) -> Capture:
 def encode_binary_trace(records: Capture | list[RawCsiRecord]) -> bytes:
     """Exact inverse of parse_binary_trace at the record level.
 
-    The payloads of each (n_rx, n_tx) layout and permutation are packed
-    together, then placed in the frames of their records.
+    Every frame's first bytes are filled as one _FRAME array and placed in
+    one step; the payloads of each (n_rx, n_tx) layout and permutation are
+    packed together, then placed in the frames of their records.
     """
     checked = _checked(records)
     header = next(checked)
     size = csi_payload_len(header[:, 2], header[:, 3])
-    start = np.cumsum(3 + _HEADER_BYTES + size) - size  # of each payload
-    out = np.zeros(int((3 + _HEADER_BYTES + size).sum()), dtype=np.uint8)
-    for at, payload_len, h in zip(start.tolist(), size.tolist(), header.tolist()):
-        frame_len = 1 + _HEADER_BYTES + payload_len
-        _FRAME_AND_HEADER.pack_into(
-            out, at - 3 - _HEADER_BYTES, frame_len >> 8, frame_len & 0xFF, CSI_RECORD_CODE,
-            *h[:9], h[9] | (h[10] << 2) | (h[11] << 4), payload_len, h[12])
+    start = np.cumsum(_FRAME.itemsize + size) - size  # of each payload
+    out = np.zeros(int((_FRAME.itemsize + size).sum()), dtype=np.uint8)
+    frames = np.zeros(len(header), _FRAME)
+    frames["frame_len"] = 1 + _HEADER_BYTES + size
+    frames["code"] = CSI_RECORD_CODE
+    for name, col in _FRAME_COLUMNS.items():
+        frames[name] = header[:, col]
+    frames["antenna_sel"] = np.bitwise_or.reduce(header[:, 9:12] << _PERM_SHIFTS, axis=1)
+    frames["payload_len"] = size
+    out[start[:, None] + np.arange(-_FRAME.itemsize, 0)] = frames[:, None].view(np.uint8)
     for n_rx, n_tx, rows, csi in checked:
-        components = np.stack([csi.real, csi.imag], axis=-1).astype(np.int8)
+        components = np.ascontiguousarray(csi, dtype=np.complex128).view(np.float64).astype(np.int8)
         # antenna_sel of the first n_rx entries of antenna_perm: the key of one packing.
-        sel = header[rows, 9] | header[rows, 10] << 2 | header[rows, 11] << 4
-        prefix = sel & ((1 << 2 * n_rx) - 1)
+        prefix = frames["antenna_sel"][rows] & ((1 << 2 * n_rx) - 1)
         for code in set(prefix.tolist()):
             group = prefix == code
-            payload = _pack_group(components[group], n_rx, n_tx, _decode_perm(code)[:n_rx])
+            payload = _pack_group(components[group], n_rx, n_tx, code)
             out[start[rows[group], None] + np.arange(payload.shape[1])] = payload
     return out.tobytes()
 
@@ -705,9 +728,10 @@ def _from_canonical_block(lines: list[str]) -> Capture | None:
     or if any check fails.
     Per line, the head regular expression reads the header values and one
     bytes.translate checks where the brackets and commas of the CSI body
-    lie.  Once for all lines, an array of the header values passes the
-    header rules, a byte check passes each CSI number, one np.fromstring
-    call reads them all, and they pass the CSI rules.
+    lie.  Once for all lines, a count finds every '],[' group between two
+    pairs intact, an array of the header values passes the header rules, a
+    byte check passes each CSI number, one np.fromstring call reads them
+    all, and they pass the CSI rules.
     """
     head = _canonical_head()
     headers, bodies = [], []
@@ -729,14 +753,18 @@ def _from_canonical_block(lines: list[str]) -> Capture | None:
     if not headers:
         return _capture_of(np.empty((0, 13), dtype=np.int64), np.empty(0, np.complex128))
     # Each body is now numbers, if any, between ',' and '],[' in the canonical
-    # order.  With every '],[' made ',' and a ',' at each end, the bodies
+    # order, so its brackets lie only in its n_pairs - 1 '],[' groups, and
+    # it starts and ends with no bracket.  A number inside a group breaks
+    # it, and then the joined bodies hold fewer '],[' than the groups.
+    # With every group intact made ',' and a ',' at each end, the bodies
     # are well-formed exactly when the result is ',' + numbers joined by
-    # ',' + ',': a bracket left over, or a body that starts or ends without
-    # a number, breaks that.
-    numbers = b",".join([b"", *bodies, b""]).replace(b"],[", b",")
+    # ',' + ',': a body that starts or ends without a number breaks that.
+    numbers = b",".join([b"", *bodies, b""])
     del bodies
     header = np.array(headers, dtype=np.int64)
-    if _header_faults(header) or not _csi_numbers_valid(numbers):
+    intact = numbers.count(b"],[") == (N_SUBCARRIERS * header[:, 2] * header[:, 3] - 1).sum()
+    numbers = numbers.translate(None, b"[]")
+    if not intact or _header_faults(header) or not _csi_numbers_valid(numbers):
         return None
     # Only short integers joined by ',' are left, so numpy's lenient number
     # reader never sees a malformed or trailing item.
@@ -799,7 +827,8 @@ def _line_blocks(text: str):
     The lines are those of split_lines, cut from text one block at a time,
     so no second copy of a whole trace is held.  A block ends at its
     _TEXT_BLOCK_LINES-th \\n, or \\r in a text with no \\n; only then are
-    its \\r\\n and \\r made \\n, so a block may hold more lines.
+    its \\r\\n and \\r made \\n, so a block may hold more lines.  A block
+    with no \\r is not rewritten: finding none costs less than a replace.
     """
     cut = "\n" if "\n" in text else "\r"
     start, lineno = 0, 1
@@ -809,7 +838,8 @@ def _line_blocks(text: str):
             end = text.find(cut, end) + 1
             if not end:  # the last block
                 break
-        lines = text[start : end or None].replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        block = text[start : end or None]
+        lines = (block.replace("\r\n", "\n").replace("\r", "\n") if "\r" in block else block).split("\n")
         if not end:
             yield lineno, lines
             return

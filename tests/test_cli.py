@@ -1,7 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +51,8 @@ def _write_config(tmp_path, extra=None):
     if extra:
         obj.update(extra)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(obj))
+    # A lone surrogate in extra writes the byte it escapes, as a file name's does.
+    path.write_bytes(json.dumps(obj, ensure_ascii=False).encode("utf-8", "surrogateescape"))
     return str(path)
 
 
@@ -535,6 +540,25 @@ def test_non_utf8_trace_is_input_error(tmp_path, capsys, command):
     assert "line 4: not UTF-8 text" in capsys.readouterr().err
 
 
+def test_analyze_writes_the_same_utf8_bytes_in_any_locale(tmp_path):
+    # stats.csv holds the trace's file name, which an ASCII locale decodes
+    # to surrogates and writes in its own encoding.
+    name = "trace\u2192x.txt"
+    (tmp_path / name).write_text(_capture_text(n=20))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    stats = []
+    for locale in ({"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+                   {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}):
+        out = f"ana{len(stats)}"
+        run = subprocess.run([sys.executable, "-m", "csicalib.cli", "analyze", "--in", name,
+                              "--out", out], cwd=tmp_path, capture_output=True, timeout=120,
+                             env={**os.environ, **locale, "PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr
+        stats.append((tmp_path / out / "stats.csv").read_bytes())
+    assert stats[0] == stats[1]
+    assert b"\ntrace\xe2\x86\x92x.txt," in stats[0]
+
+
 def test_non_utf8_line_counts_only_line_breaks(tmp_path, capsys):
     # U+2028 and \f are no line breaks of the format: the bad byte is on line 3.
     note = json.dumps({**_VALID_OBJ, "note": "a\u2028b"}, ensure_ascii=False)
@@ -617,6 +641,7 @@ def test_integer_beyond_int_conversion_is_input_error(tmp_path, capsys):
     ("sweep", {"sweep": [[30, 30]]}, "sweep[0] needs 3 entries"),
     ("sweep", {"sweep": [[30, 30, 30]], "thresholds": {"max_loss_db": "x"}},
      'thresholds.max_loss_db must be a finite number, got "x"'),
+    ("control", {"note": "\udcff"}, "is not UTF-8 text: invalid start byte at byte 196"),
 ])
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, command, extra, message):
     cfg = _write_config(tmp_path, extra)

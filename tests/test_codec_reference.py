@@ -376,6 +376,52 @@ def test_check_order_across_frames_is_file_order():
     assert _error_of(good[:-1] + bytes(bad_perm))[0] is TruncatedRecord
 
 
+_TWO_PORTS = encode_binary_trace([make_record(n_rx=2, rssi=(40, 40, 0), antenna_perm=(1, 0, 0))])
+_NON_CSI = b"\x00\x04\x01abc"
+
+
+def _bad_perm(frame):
+    """A two-port CSI frame with the antenna_perm prefix (0, 0)."""
+    return frame[: 3 + 15] + b"\x00" + frame[3 + 16 :]
+
+
+def _stop(kind, frame):
+    """The bytes that end a trace with a stop of this kind; frame is the stop frame, if any."""
+    return {
+        "dangling 2": b"\x00\x07",
+        "zero length": b"\x00\x00" + bytes([CSI_RECORD_CODE]),
+        "past the end": frame[:-1],
+        "short body": _with_frame_len(frame[: 3 + 19]),
+        "declared mismatch": frame[: 3 + 16] + bytes([frame[3 + 16] + 1]) + frame[3 + 17 :],
+        "cut payload": _with_frame_len(frame[:-1]),
+    }[kind]
+
+
+# Each stop after three valid frames with a header fault in an earlier frame
+# or in the stop frame itself.  A fault in a frame read so far wins, and so
+# does one in the stop frame when its header was read: not for a short body,
+# nor for a frame past the end, which is not read.  Dangling bytes and a
+# zero-length frame have no header.
+@pytest.mark.parametrize("kind, faulty, expected", [
+    ("dangling 2", "earlier", InvariantViolation),
+    ("zero length", None, TruncatedRecord),
+    ("zero length", "earlier", InvariantViolation),
+    ("short body", None, TruncatedRecord),
+    ("short body", "earlier", InvariantViolation),
+    ("short body", "stop", TruncatedRecord),
+    ("past the end", "stop", TruncatedRecord),
+    ("declared mismatch", "stop", InvariantViolation),
+    ("cut payload", None, TruncatedRecord),
+    ("cut payload", "earlier", InvariantViolation),
+    ("cut payload", "stop", InvariantViolation),
+])
+def test_stop_after_valid_frames_matches_reference(kind, faulty, expected):
+    second = _bad_perm(_TWO_PORTS) if faulty == "earlier" else _TWO_PORTS
+    stop = _stop(kind, _bad_perm(_TWO_PORTS) if faulty == "stop" else _TWO_PORTS)
+    data = _TWO_PORTS + _NON_CSI + second + _TWO_PORTS + _NON_CSI + stop
+    assert _error_of(data)[0] is expected
+
+
 def test_encode_error_matches_reference():
     rng = np.random.default_rng(3)
     records = [random_record(rng) for _ in range(6)]

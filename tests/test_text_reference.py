@@ -320,6 +320,8 @@ _REJECTED = [
     _replaced('"csi":[[12,-3]', '"csi":[[12,-]'),           # lone or doubled sign
     _replaced('"csi":[[12,-3]', '"csi":[[12,--3]'),
     _replaced('"csi":[[12,-3]', '"csi":[[12,3-3]'),
+    _replaced('"csi":[[12,-3],[', '"csi":[[12,-3]5,['),     # a digit inside '],['
+    _replaced("[0,0],[1,0]", "[0,0],5[1,0]"),
     _replaced('"n_rx":2', '"n_rx":4'),
     _replaced('"n_tx":1', '"n_tx":0'),
     _replaced('"rssi":[40,41,0]', '"rssi":[40,41,7]'),      # absent port not 0
