@@ -63,8 +63,12 @@ class SimConfig:
     values out of range, a NaN power or loss, a tx_power_dbm or an
     adc_target_dbm that is not finite, an adc_ref_amplitude not above 0, a
     chain whose linear powers or count scale leave the float range, and
-    multipath taps that cancel to a zero channel raise ConfigError.  An infinite attenuation, a port
-    that reads nothing, and a noise_floor_dbm of -inf simulate.
+    multipath taps that cancel to a zero channel raise ConfigError.  A port
+    that reads nothing, and a noise_floor_dbm of -inf, simulate.  So does
+    an infinite attenuation, but only while its port gets noise: with
+    noise_floor_dbm None or -inf, its zero power is simulate_capture's
+    float-range ConfigError, which tests/test_cli.py pins for an
+    attenuation_db of [30, 30, 4000].
     """
 
     tx_power_dbm: float = -3.0
@@ -190,8 +194,9 @@ def simulate_capture(
     when noise_floor_dbm is None.  The whole capture is computed as
     (T, n_rx, 30) arrays, and the Capture's columns are those arrays: its
     one csi part is a view of the counts, and no record is built until one
-    is indexed.  Values whose arithmetic leaves the float range, and a
-    delta_deg with fewer than n_rx entries, raise ConfigError.
+    is indexed.  Values whose arithmetic leaves the float range, a capture
+    too large for memory, and a delta_deg with fewer than n_rx entries,
+    raise ConfigError.
     """
     distortion = distortion or PhaseDistortion()
     n_rx = len(config.attenuation_db)
@@ -210,6 +215,9 @@ def simulate_capture(
             return _simulate(config, *held[key])
     except FloatingPointError as exc:
         raise ConfigError(f"the simulated chain leaves the float range ({exc})") from exc
+    except MemoryError as exc:
+        raise ConfigError("the simulated capture needs more memory than is available "
+                          f"({exc})") from exc
 
 
 def _draw(config: SimConfig, distortion: PhaseDistortion) -> tuple[np.ndarray, np.ndarray]:

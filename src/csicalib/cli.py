@@ -311,8 +311,10 @@ def main(argv=None) -> int:
             _COMMANDS["parse"](args)
         else:
             seed = _COMMANDS[args.command](args, write)
-            manifest = {**vars(args), "seed": seed, "tool_version": __version__}
-            del manifest["out"]
+            # Each string argument's bytes as UTF-8, however the locale decoded them.
+            manifest = {name: os.fsencode(v).decode("utf-8", "replace") if isinstance(v, str) else v
+                        for name, v in vars(args).items() if name != "out"}
+            manifest |= {"seed": seed, "tool_version": __version__}
             write("manifest.json", json.dumps(manifest, indent=2) + "\n")
     except CsiCalibError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -68,10 +68,6 @@ class CalibrationConstants:
                               "beyond the float range")
 
 
-#: Header fields held as Python ints; rssi and antenna_perm hold ints too.
-_INT_FIELDS = ("timestamp_low", "bfee_count", "n_rx", "n_tx", "noise", "agc", "rate_flags")
-
-
 @dataclass(eq=False)
 class RawCsiRecord:
     """One received packet's nominal readouts plus the digitized CSI matrix.
@@ -113,6 +109,12 @@ class RawCsiRecord:
         """
         for _ in _checked([self]):
             pass
+
+
+#: The keys of a text line, in order: RawCsiRecord's fields.
+_TEXT_FIELDS = tuple(f.name for f in fields(RawCsiRecord))
+#: Header fields held as Python ints; rssi and antenna_perm hold ints too.
+_INT_FIELDS = tuple(f.name for f in fields(RawCsiRecord) if f.type == "int")
 
 
 def _record_fault(record: RawCsiRecord) -> str | None:
@@ -211,10 +213,6 @@ def _csi_faults(csi: np.ndarray) -> tuple[int, str] | None:
     return _first_fault(np.column_stack([b.any(axis=1) for b in broken]), _CSI_RULES)
 
 
-#: The header columns of a Capture, in field order.
-_COLUMNS = ("timestamp_low", "bfee_count", "rssi", "noise", "agc", "antenna_perm", "rate_flags")
-
-
 @dataclass(frozen=True, eq=False)
 class Capture:
     """A capture of any sequence of records, held as columns.
@@ -298,6 +296,10 @@ class Capture:
         """Each record's (n_rx, n_tx), read from the parts: (T, 2)."""
         layouts = np.array([csi.shape[2:] for csi in self.parts]).reshape(-1, 2)
         return np.repeat(layouts, [len(csi) for csi in self.parts], axis=0)
+
+
+#: The header columns of a Capture, in field order.
+_COLUMNS = tuple(f.name for f in fields(Capture) if f.name != "parts")
 
 
 def _runs(layout: np.ndarray) -> list[tuple[int, int]]:
@@ -583,12 +585,6 @@ def encode_binary_trace(records: Capture | list[RawCsiRecord]) -> bytes:
 
 # --- text format -------------------------------------------------------------
 
-_TEXT_FIELDS = (
-    "timestamp_low", "bfee_count", "n_rx", "n_tx", "rssi", "noise",
-    "agc", "antenna_perm", "rate_flags", "csi",
-)
-
-
 def _json_int(value, name: str, lineno: int) -> int:
     # bool is a subclass of int, so only the exact type will do.
     if type(value) is not int:
@@ -674,21 +670,18 @@ def write_text_trace(records: Capture | list[RawCsiRecord]) -> str:
 def _canonical_head():
     """Matcher of the line write_text_trace writes, up to '"csi":[['.
 
-    Its groups are the header values; the CSI body is the text between its
-    end and the closing ']]}'.  Integers follow JSON's grammar, and a
-    header integer has at most 10 digits (a u32 has 10), so int() only
-    ever sees short, well-formed numbers.  Compiled on first use, to keep
-    it out of the import time.
+    Built from _LINE_TEMPLATE: its text around the 13 header values, up to
+    the first pair's '['.  Its groups are the header values; the CSI body
+    is the text between its end and the closing ']]}'.  Integers follow
+    JSON's grammar, and a header integer has at most 10 digits (a u32 has
+    10), so int() only ever sees short, well-formed numbers.  n_rx and
+    n_tx are 1..3, so _csi_separators only ever builds a short body.
+    Compiled on first use, to keep it out of the import time.
     """
-    value = r"(-?(?:[1-9][0-9]{0,9}|0))"
-    head = re.compile(
-        r'\{"timestamp_low":' + value + ',"bfee_count":' + value
-        + r',"n_rx":([1-3]),"n_tx":([1-3]),"rssi":\[' + value + "," + value + "," + value
-        + r'\],"noise":' + value + ',"agc":' + value
-        + r',"antenna_perm":\[' + value + "," + value + "," + value
-        + r'\],"rate_flags":' + value + r',"csi":\[\['
-    )
-    return head.match
+    texts = _LINE_TEMPLATE.replace("%s\n", "[").split("%d")
+    groups = [r"(-?(?:[1-9][0-9]{0,9}|0))"] * 13
+    groups[2:4] = [r"([1-3])"] * 2  # n_rx and n_tx
+    return re.compile("".join(re.escape(t) + g for t, g in zip(texts, [*groups, ""]))).match
 
 
 @functools.lru_cache(maxsize=None)
@@ -750,8 +743,6 @@ def _from_canonical_block(lines: list[str]) -> Capture | None:
             return None
         headers.append(header)
         bodies.append(body)
-    if not headers:
-        return _capture_of(np.empty((0, 13), dtype=np.int64), np.empty(0, np.complex128))
     # Each body is now numbers, if any, between ',' and '],[' in the canonical
     # order, so its brackets lie only in its n_pairs - 1 '],[' groups, and
     # it starts and ends with no bracket.  A number inside a group breaks
@@ -759,9 +750,10 @@ def _from_canonical_block(lines: list[str]) -> Capture | None:
     # With every group intact made ',' and a ',' at each end, the bodies
     # are well-formed exactly when the result is ',' + numbers joined by
     # ',' + ',': a body that starts or ends without a number breaks that.
+    # Lines that are all empty leave ',', and a capture of no record.
     numbers = b",".join([b"", *bodies, b""])
     del bodies
-    header = np.array(headers, dtype=np.int64)
+    header = np.array(headers, dtype=np.int64).reshape(-1, 13)
     intact = numbers.count(b"],[") == (N_SUBCARRIERS * header[:, 2] * header[:, 3] - 1).sum()
     numbers = numbers.translate(None, b"[]")
     if not intact or _header_faults(header) or not _csi_numbers_valid(numbers):

@@ -541,12 +541,12 @@ def test_non_utf8_trace_is_input_error(tmp_path, capsys, command):
 
 
 def test_analyze_writes_the_same_utf8_bytes_in_any_locale(tmp_path):
-    # stats.csv holds the trace's file name, which an ASCII locale decodes
-    # to surrogates and writes in its own encoding.
+    # stats.csv and manifest.json hold the trace's file name, which an ASCII
+    # locale decodes to surrogates and writes in its own encoding.
     name = "trace\u2192x.txt"
     (tmp_path / name).write_text(_capture_text(n=20))
     src = str(Path(cli.__file__).resolve().parents[1])
-    stats = []
+    stats, manifests = [], []
     for locale in ({"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
                    {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}):
         out = f"ana{len(stats)}"
@@ -555,8 +555,11 @@ def test_analyze_writes_the_same_utf8_bytes_in_any_locale(tmp_path):
                              env={**os.environ, **locale, "PYTHONPATH": src})
         assert run.returncode == 0, run.stderr
         stats.append((tmp_path / out / "stats.csv").read_bytes())
+        manifests.append((tmp_path / out / "manifest.json").read_bytes())
     assert stats[0] == stats[1]
     assert b"\ntrace\xe2\x86\x92x.txt," in stats[0]
+    assert manifests[0] == manifests[1]
+    assert json.loads(manifests[0])["in_path"] == name
 
 
 def test_non_utf8_line_counts_only_line_breaks(tmp_path, capsys):
@@ -642,10 +645,18 @@ def test_integer_beyond_int_conversion_is_input_error(tmp_path, capsys):
     ("sweep", {"sweep": [[30, 30, 30]], "thresholds": {"max_loss_db": "x"}},
      'thresholds.max_loss_db must be a finite number, got "x"'),
     ("control", {"note": "\udcff"}, "is not UTF-8 text: invalid start byte at byte 196"),
+    ("simulate", [], "config root must be a JSON object"),
+    ("sweep", None, "cannot read config"),
 ])
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, command, extra, message):
-    cfg = _write_config(tmp_path, extra)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    cfg = tmp_path / "config.json"
+    if extra is None:  # a directory in the config's place
+        cfg.mkdir()
+    elif extra == []:  # a config root that is not an object
+        cfg.write_text("[]")
+    else:
+        _write_config(tmp_path, extra)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -688,6 +699,13 @@ _CHAIN_RANGE = "chain values put a linear power or the count scale beyond the fl
     ("control", {"thresholds": {"zero_fraction_max": -0.1}},
      "zero_fraction_max must lie in [0, 1]"),
     ("control", {"control": {"balance_target_db": -5}}, "balance_target_db must be >= 0, got -5"),
+    # Past the address space, so numpy refuses the draw at once.
+    ("simulate", {"sim": {"n_packets": 10**12}},
+     "the simulated capture needs more memory than is available (Unable to allocate "),
+    ("sweep", {"sim": {"n_packets": 10**12}, "sweep": [[30, 30, 30]]},
+     "the simulated capture needs more memory than is available"),
+    ("control", {"sim": {"n_packets": 10**12}},
+     "the simulated capture needs more memory than is available"),
 ])
 def test_config_value_out_of_range_is_config_error(tmp_path, capsys, command, extra, message):
     cfg = _write_config(tmp_path, extra)

@@ -22,7 +22,7 @@ from csicalib import (
     write_text_trace,
 )
 from csicalib.errors import InvariantViolation, SchemaError
-from csicalib.ingest import _CSI_RULES, _HEADER_RULES, as_capture
+from csicalib.ingest import _CSI_RULES, _HEADER_RULES, _TEXT_FIELDS, _canonical_head, as_capture
 
 from conftest import make_record
 
@@ -162,6 +162,23 @@ def test_a_list_value_without_a_len_breaks_its_length_rule(field, message):
             assert str(exc.value) == message
 
 
+_THREE = as_capture([make_record()] * 3)
+
+
+@pytest.mark.parametrize("records, message", [
+    ([make_record(), make_record(csi=np.ones((30, 2, 1))), make_record()],
+     "csi shape (30, 2, 1) does not match (30, 3, 1)"),
+    (replace(_THREE, parts=(_THREE.parts[0][:, :29],)),
+     "csi shape (29, 3, 1) does not match (30, 3, 1)"),
+], ids=["list record", "capture part"])
+def test_a_csi_of_another_shape_breaks_the_shape_check(records, message):
+    for check in (records[1].validate, lambda: write_text_trace(records),
+                  lambda: encode_binary_trace(records)):
+        with pytest.raises(InvariantViolation) as exc:
+            check()
+        assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("value", [2**64, -2**70])
 def test_an_int_past_int64_breaks_its_rule(value):
     record = make_record(agc=value)
@@ -175,3 +192,12 @@ def test_the_formats_doc_lists_every_rule_in_order():
     section = re.search(r"### Record checks and their order\n(.*?)\n#", doc, re.S).group(1)
     at = [section.find(f"`{message}`") for message, _ in (*_HEADER_RULES, *_CSI_RULES)]
     assert -1 not in at and at == sorted(at)
+
+
+def test_the_formats_doc_states_the_canonical_line():
+    section = re.search(r"### Canonical line\n(.*?)\n#", FORMATS.read_text(encoding="utf-8"),
+                        re.S).group(1)
+    keys = re.search(r"\((`.*?`)\)", section, re.S).group(1)
+    assert tuple(re.findall(r"`(\w+)`", keys)) == _TEXT_FIELDS
+    example = re.search(r"```\n(.*?)\n```", section, re.S).group(1)
+    assert _canonical_head()(example)
