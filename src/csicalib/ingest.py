@@ -22,6 +22,7 @@ import numpy as np
 from . import _dectext
 from .errors import (
     ConfigError,
+    InsufficientData,
     InvariantViolation,
     LengthMismatch,
     MixedLayout,
@@ -343,9 +344,11 @@ def as_capture(records: Capture | list[RawCsiRecord]) -> Capture:
 def common_n_rx(records: Capture | list[RawCsiRecord]) -> int:
     """The n_rx of a non-empty capture whose records all carry the same ports.
 
-    Raises MixedLayout naming the first record whose n_rx differs from
-    record 0's.
+    Raises InsufficientData for a capture of no record, and MixedLayout
+    naming the first record whose n_rx differs from record 0's.
     """
+    if not len(records):
+        raise InsufficientData("need at least one record")
     n_rx = as_capture(records).layout()[:, 0]
     t = np.argmax(n_rx != n_rx[0])  # the first record of another n_rx, if any
     if n_rx[t] != n_rx[0]:
@@ -630,10 +633,11 @@ _CSI_END = np.frombuffer(b"]}\n\0\0\0\0\0", dtype=np.uint64)[0]
 
 #: Lines read at a time by parse_text_trace, and written at a time by
 #: write_text_trace.  A block's CSI text is held several times over while
-#: it is read, as bytes and as byte masks, and as text words while it is
-#: written.  Reading a 2000-line trace 256 lines at a time
-#: raised the parse's traced peak memory by 0.4-0.7 MiB over reading one
-#: line at a time; 64 lines at a time, as fast, by about 0.1 MiB.
+#: it is read: as bytes, as a byte mask, and as a uint32 at each byte,
+#: four bytes a byte, which the take of the numbers' codes copies out; and
+#: as text words while it is written.  On a 2000-line 3x1 trace the
+#: parse's traced peak lay 0.39 MiB above its result at 64 lines a time,
+#: 0.62 MiB at 128 and 1.16 MiB at 256.
 _TEXT_BLOCK_LINES = 64
 
 
@@ -674,8 +678,8 @@ def _canonical_head():
     the first pair's '['.  Its groups are the header values; the CSI body
     is the text between its end and the closing ']]}'.  Integers follow
     JSON's grammar, and a header integer has at most 10 digits (a u32 has
-    10), so int() only ever sees short, well-formed numbers.  n_rx and
-    n_tx are 1..3, so _csi_separators only ever builds a short body.
+    10), so numpy only ever reads short, well-formed numbers.  n_rx and
+    n_tx are 1..3, so _group_middles only ever builds a short text.
     Compiled on first use, to keep it out of the import time.
     """
     texts = _LINE_TEMPLATE.replace("%s\n", "[").split("%d")
@@ -685,33 +689,36 @@ def _canonical_head():
 
 
 @functools.lru_cache(maxsize=None)
-def _csi_separators(n_pairs: int) -> bytes:
-    """A canonical CSI body of n_pairs pairs without its digits and '-'."""
-    return b"," + b"],[," * (n_pairs - 1)
+def _group_middles(n_pairs: int) -> bytes:
+    """The byte between ']' and '[' before each pair of a canonical CSI body."""
+    return b"\n" + b"," * (n_pairs - 1)
 
 
-def _csi_numbers_valid(numbers: bytes) -> bool:
-    """Whether numbers is ',' + integers joined by ',' + ',', each -?(?:[1-9][0-9]{0,2}|0).
+#: The multiplier that takes each CSI component text to a slot of its own
+#: among 4096: the top 12 bits of its code times this, as a wrapped uint32.
+_SLOT_MULTIPLIER = np.uint32(958393)
+#: By the size of a text, 0..4 bytes: the bits of its code that hold it.
+_CODE_MASKS = np.array([0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF], dtype=np.uint32)
 
-    One pass of byte masks over the whole text: only digits, '-' and ','
-    occur, and the local rules below hold.  Both ends being ',', each rule
-    also holds at the first and the last integer.
+
+@functools.lru_cache(maxsize=None)
+def _component_slots() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(code, size, value) of each of the 4096 slots of the CSI component texts.
+
+    The texts are the 257 that a canonical line's components may be:
+    '-128'..'127', and '-0', which JSON reads as 0.  A text's code is its
+    bytes as a little-endian integer, and no two texts share a slot.  An
+    empty slot has size 0 and code 0xFFFFFFFF, which a text of size 0, of
+    code 0, does not have.  Built on first use, to keep it out of the
+    import time.
     """
-    b = np.frombuffer(numbers, dtype=np.uint8)
-    digit = (b - np.uint8(ord("0"))) < 10
-    comma = b == ord(",")
-    minus = b == ord("-")
-    if not (digit | comma | minus).all():
-        return False
-    lead_zero = (b[1:-1] == ord("0")) & digit[2:]
-    two_digits = digit[:-1] & digit[1:]
-    return not (
-        (comma[:-1] & comma[1:]).any()        # no empty number
-        or (minus[1:] > comma[:-1]).any()     # '-' only after ','
-        or (minus[:-1] > digit[1:]).any()     # and before a digit
-        or (lead_zero > digit[:-2]).any()     # no leading '0'
-        or (two_digits[:-2] & two_digits[2:]).any()  # at most 3 digits
-    )
+    texts = [str(v) for v in range(-128, 128)] + ["-0"]
+    codes = np.array([int.from_bytes(t.encode(), "little") for t in texts], dtype=np.uint32)
+    slots = np.full(4096, 0xFFFFFFFF, np.uint32), np.zeros(4096, np.intp), np.zeros(4096)
+    for column, entries in zip(slots, (codes, list(map(len, texts)), list(map(int, texts)))):
+        column[codes * _SLOT_MULTIPLIER >> 20] = entries
+        column.flags.writeable = False  # shared by every caller through the cache
+    return slots
 
 
 def _from_canonical_block(lines: list[str]) -> Capture | None:
@@ -719,12 +726,11 @@ def _from_canonical_block(lines: list[str]) -> Capture | None:
 
     Empty lines are skipped.  None if any other line is not in that form,
     or if any check fails.
-    Per line, the head regular expression reads the header values and one
-    bytes.translate checks where the brackets and commas of the CSI body
-    lie.  Once for all lines, a count finds every '],[' group between two
-    pairs intact, an array of the header values passes the header rules, a
-    byte check passes each CSI number, one np.fromstring call reads them
-    all, and they pass the CSI rules.
+    Per line, the head regular expression reads the header values, and the
+    CSI body is the text up to the closing ']]}'.  The bodies are then read
+    as one text, with array operations over all of it: one pass finds
+    where each number starts, gathers check the bytes between the numbers,
+    and each number is looked up in the table of the 257 component texts.
     """
     head = _canonical_head()
     headers, bodies = [], []
@@ -732,37 +738,69 @@ def _from_canonical_block(lines: list[str]) -> Capture | None:
         if not line:
             continue
         match = head(line)
-        # A canonical line is ASCII, which also makes encode() safe: a lone
-        # surrogate would raise there.
-        if match is None or not line.isascii() or not line.endswith("]]}"):
+        if match is None or not line.endswith("]]}"):
             return None
-        header = tuple(map(int, match.groups()))
-        body = line[match.end():-3].encode()
-        if body.translate(None, b"0123456789-") != _csi_separators(
-                N_SUBCARRIERS * header[2] * header[3]):
-            return None
-        headers.append(header)
-        bodies.append(body)
-    # Each body is now numbers, if any, between ',' and '],[' in the canonical
-    # order, so its brackets lie only in its n_pairs - 1 '],[' groups, and
-    # it starts and ends with no bracket.  A number inside a group breaks
-    # it, and then the joined bodies hold fewer '],[' than the groups.
-    # With every group intact made ',' and a ',' at each end, the bodies
-    # are well-formed exactly when the result is ',' + numbers joined by
-    # ',' + ',': a body that starts or ends without a number breaks that.
-    # Lines that are all empty leave ',', and a capture of no record.
-    numbers = b",".join([b"", *bodies, b""])
-    del bodies
+        headers.append(match.groups())
+        bodies.append(line[match.end():-3])
     header = np.array(headers, dtype=np.int64).reshape(-1, 13)
-    intact = numbers.count(b"],[") == (N_SUBCARRIERS * header[:, 2] * header[:, 3] - 1).sum()
-    numbers = numbers.translate(None, b"[]")
-    if not intact or _header_faults(header) or not _csi_numbers_valid(numbers):
+    del headers
+    pairs = (N_SUBCARRIERS * header[:, 2] * header[:, 3]).tolist()
+    # Each body after ']\n[', the text between the last pair of one line
+    # and the first of the next, and one more after the last body.
+    text = "]\n[".join(["", *bodies, ""])
+    del bodies
+    # A canonical line is ASCII, which also makes encode() safe: a lone
+    # surrogate would raise there.
+    if _header_faults(header) or not text.isascii():
         return None
-    # Only short integers joined by ',' are left, so numpy's lenient number
-    # reader never sees a malformed or trailing item.
-    csi = np.fromstring(numbers[1:-1], dtype=np.int64, sep=",").astype(float).view(complex)
-    del numbers
-    return None if _csi_faults(csi[None]) else _capture_of(header, csi)
+    data = text.encode()
+    del text
+    b = np.frombuffer(data, dtype=np.uint8)
+    # The bytes of a number lie in '-'..'9' (so do '.' and '/', which no
+    # component text holds), and a part starts at each such byte after one
+    # that is not: the first at byte 3, after the first ']\n['.
+    sep = b - np.uint8(ord("-"))
+    sep = np.greater(sep, ord("9") - ord("-"), out=sep.view(bool))
+    start = np.flatnonzero(sep[:-1] > sep[1:])
+    del sep
+    start += 1
+    if len(start) != 2 * sum(pairs) or (start[:1] != 3).any():
+        return None
+    # Before each pair lie ']', then '\n' at a line's first pair and ','
+    # at the others, then '['; between its two parts lies ','.
+    real = start[0::2] - 3
+    if not ((b.take(real) == ord("]")).all()
+            and b.take(real + 1).tobytes() == b"".join(map(_group_middles, pairs))
+            and b.take(start - 1).tobytes() == b"[," * sum(pairs)):
+        return None
+    del real
+    # So a real part ends one byte before the next part starts, and an
+    # imaginary part three, and the bodies are canonical exactly when each
+    # part is a component text.  A part's code is its bytes, and the bytes
+    # after them up to four, as a little-endian uint32: the data ends with
+    # ']\n[', so no four bytes from a part reach past it.
+    code = np.ndarray(len(data) - 3, "<u4", data, strides=(1,)).take(start)
+    size = np.diff(start, append=len(data))
+    del start
+    size[0::2] -= 1
+    size[1::2] -= 3
+    found, values = _components(code, size)
+    return _capture_of(header, values.view(complex)) if found.all() else None
+
+
+def _components(code: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each text is one of the 257 CSI component texts, and its value if it is.
+
+    A text is given by its size and its code: its bytes, and the bytes
+    after them up to four, as a little-endian uint32, which is masked here
+    to its size, in place.  A masked code reads a NUL byte at a text's end
+    as no byte, so the size must match too.  A size out of 1..4 takes the
+    mask of 0 or 4 bytes, and then matches no slot's size.
+    """
+    code &= _CODE_MASKS.take(size, mode="clip")
+    slot = (code * _SLOT_MULTIPLIER >> 20).astype(np.intp)
+    codes, sizes, values = _component_slots()
+    return (codes.take(slot) == code) & (sizes.take(slot) == size), values.take(slot)
 
 
 def _from_json_block(lines: list[str], first: int) -> Capture:
@@ -832,6 +870,7 @@ def _line_blocks(text: str):
                 break
         block = text[start : end or None]
         lines = (block.replace("\r\n", "\n").replace("\r", "\n") if "\r" in block else block).split("\n")
+        del block  # not held while the lines are read
         if not end:
             yield lineno, lines
             return
@@ -852,8 +891,9 @@ def parse_text_trace(text: str) -> Capture:
 
     Lines are read _TEXT_BLOCK_LINES at a time.  A block of lines in
     write_text_trace's canonical form is read by _from_canonical_block: a
-    regular expression and a bytes.translate per line, then array checks
-    and one np.fromstring call for the whole block.  If any line of a block
+    regular expression per line, then array operations over the block's
+    CSI text, which read each number through the table of the 257 CSI
+    component texts.  If any line of a block
     is not canonical or fails a check, _from_json_block reads every line of
     the block with json.loads, and raises every error: the first faulty
     line raises, with the error it would raise if every line were read

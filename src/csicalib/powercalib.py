@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _dectext
+from .errors import InsufficientData
 from .ingest import CalibrationConstants, Capture, RawCsiRecord, as_capture, common_n_rx
 
 #: Canonical unordered port pairs, reported numerator-first (2/1, 3/2, 1/3).
@@ -138,7 +139,7 @@ def calibrate(records: RawCsiRecord | Capture | list,
     CalibratedFrame), and its row t equals the frame of record t alone.  A
     record with no reading, every port absent or zero CSI on every present
     port, calibrates to NaN as an absent port and a zero CSI entry do; it
-    never raises.
+    never raises.  A capture of no record raises InsufficientData.
 
     Integer CSI, which every trace holds, calibrates exactly: each squared
     magnitude, and each record's sum of them, is exact in any order.  Float
@@ -150,6 +151,8 @@ def calibrate(records: RawCsiRecord | Capture | list,
         f = calibrate([records], consts)
         return CalibratedFrame(tuple(f.port_power_dbm[0].tolist()), f.total_power_dbm.item(),
                                f.rho.item(), f.amplitude_dbm[0])
+    if not len(records):
+        raise InsufficientData("need at least one record")
     capture = as_capture(records)
     shape = capture.parts[0].shape[1:]
     n_rx = shape[1]

@@ -27,7 +27,7 @@ from csicalib import (
     variation_stats,
     write_text_trace,
 )
-from csicalib.errors import AbsentPort, InvariantViolation
+from csicalib.errors import AbsentPort, InsufficientData, InvariantViolation
 from csicalib.ingest import _TEXT_BLOCK_LINES, N_SUBCARRIERS, as_capture, common_n_rx
 from csicalib import cli
 from csicalib.powercalib import canonical_pairs, frames_to_csv
@@ -256,6 +256,15 @@ def test_layout_runs_and_common_n_rx_of_a_capture():
     assert len(parsed.parts) == -(-N_PACKETS // _TEXT_BLOCK_LINES)
     assert ref_layout_runs(parsed) == [slice(0, N_PACKETS)]
     assert common_n_rx(parsed) == 2
+
+
+@pytest.mark.parametrize("empty", [list, lambda: parse_text_trace(""), lambda: _simulated(2)[3:3]],
+                         ids=["list", "parsed", "slice"])
+@pytest.mark.parametrize("read", [common_n_rx, calibrate])
+def test_a_capture_of_no_record_raises_insufficient_data(read, empty, consts):
+    args = (consts,) if read is calibrate else ()
+    with pytest.raises(InsufficientData, match="need at least one record"):
+        read(empty(), *args)
 
 
 class _CountedParts(tuple):

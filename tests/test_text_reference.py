@@ -4,15 +4,18 @@ _ref_parse_text_trace below reads every line with json.loads and checks
 it field by field; the reference writer, json.dumps of one object per
 record, is in test_codec_reference.py.  The library reads a trace a block
 of lines at a time.  A block of lines in the writer's canonical form goes
-through a regular expression and a bytes.translate per line, then a byte
-check of every CSI number and one np.fromstring call for the block.  Every
-line of any other block is read with json.loads.  It must give the same
-records and the same errors (class, line number and message) for every
-input.  _REF_PAIRS, the grammar of a canonical CSI body as a regular
-expression, is the reference of the byte check.
+through a regular expression per line; then array operations over the
+block's CSI bodies find where each number starts, check the bytes between
+the numbers, and look each number up in a table of the 257 component
+texts.  Every line of any other block is read with json.loads.  It must
+give the same records and the same errors (class, line number and
+message) for every input.  _REF_PAIRS, the grammar of a canonical CSI body
+as a regular expression, is the reference of the array checks, and
+_REF_COMPONENT that of the table.
 """
 
 import dataclasses
+import itertools
 import json
 import re
 import tracemalloc
@@ -344,25 +347,25 @@ def test_rejected_line_matches_reference(line):
 
 
 def test_rejection_corpus_raises_no_warning(monkeypatch):
-    # np.fromstring warns on an unmatched tail in numpy 1.x (and raises in
-    # 2.x), and saturates a number beyond int64: the checks must keep every
-    # item but a short JSON integer away from it.
-    fromstring = np.fromstring
+    # The canonical reader refuses each rejected line's block itself, with
+    # no warning from its array operations (a wrapped uint32 product, a
+    # cast, a take), before json.loads raises the line's error.  It reads
+    # numbers only through the table of the component texts: numpy's
+    # lenient np.fromstring, which warns on an unmatched tail in numpy 1.x
+    # and saturates a number beyond int64, is never called.
+    def fromstring(*args, **kwargs):
+        raise AssertionError("np.fromstring called")
 
-    def only_short_integers(data, dtype, sep):
-        for item in data.split(b","):
-            assert re.fullmatch(_REF_COMPONENT.encode(), item), item
-        return fromstring(data, dtype=dtype, sep=sep)
-
-    monkeypatch.setattr(ingest.np, "fromstring", only_short_integers)
+    monkeypatch.setattr(ingest.np, "fromstring", fromstring)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for line in _REJECTED:
+            assert ingest._from_canonical_block(_three_lines(line).split("\n")) is None
             with pytest.raises(SchemaError):
                 parse_text_trace(_three_lines(line))
 
 
-_ALPHABET = "0123456789-+,.[]{}\":e tn"
+_ALPHABET = "0123456789-+,.[]{}\":e tn\x00"
 _edit = st.tuples(st.sampled_from(["insert", "delete", "replace"]),
                   st.integers(0, 10**6), st.sampled_from(_ALPHABET))
 _CANONICAL = [_LINE, _OTHER, write_text_trace([make_record(n_rx=1, n_tx=2, rssi=(9, 0, 0),
@@ -391,8 +394,8 @@ def test_mutated_canonical_line_matches_reference(line, edits):
 
 _CSI_START = '"csi":[['
 # The alphabet of a CSI body, then a sign, a space, a dot, an exponent, a
-# non-ASCII digit and a brace.
-_BODY_ALPHABET = "-0123456789,[]" + "+ .e\u0663}"
+# non-ASCII digit, a brace and a NUL byte.
+_BODY_ALPHABET = "-0123456789,[]" + "+ .e\u0663}\x00"
 _body_edit = st.tuples(st.sampled_from(["insert", "delete", "replace"]),
                        st.integers(0, 10**6), st.sampled_from(_BODY_ALPHABET))
 
@@ -417,6 +420,17 @@ def test_byte_check_accepts_what_the_pairs_grammar_accepts(line, edits):
     assert accepted == _ref_body_is_canonical(body, _n_pairs(line))
 
 
+@pytest.mark.parametrize("body", ["]\n[{}", "{}]\n[", "]\n[{}]\n[", "{}\n", "\r{}"])
+def test_a_body_with_a_line_break_is_not_canonical(body):
+    # parse_text_trace never passes a line break in a line; the reader of a
+    # canonical block, which joins the bodies with ']\n[', refuses one.
+    body = body.format(_body(_LINE))
+    assert not _ref_body_is_canonical(body, _n_pairs(_LINE))
+    line = _with_body(_LINE, body)
+    assert ingest._from_canonical_block([line, _OTHER]) is None
+    assert ingest._from_canonical_block([_OTHER, line]) is None
+
+
 _BLOCK = write_text_trace([random_record(np.random.default_rng(17)) for _ in range(9)]
                           + [_BASE]).split("\n")[:-1]
 
@@ -432,6 +446,24 @@ def test_one_mutated_body_in_a_block(at, edits):
     outcome = _assert_same_outcome("\n".join(block))
     if parsed is not None:
         _assert_same_records(parsed, outcome[1])
+
+
+def test_component_table_reads_exactly_the_canonical_component_texts():
+    # Every text of 1-4 bytes over '-' and the digits, then each with a NUL
+    # byte, a sign, a space or a dot after it.  A text's code holds the
+    # bytes after it up to four, here '7's, which its size masks off: read
+    # whole, '-12' would be '-127'.
+    texts = ["".join(t) for n in range(1, 5) for t in itertools.product("-0123456789", repeat=n)]
+    assert len(texts) == 16104
+    texts += [text + tail for tail in "\x00+ ." for text in texts]
+    code = np.frombuffer(b"".join((t + "777")[:4].encode() for t in texts), dtype="<u4").copy()
+    found, values = ingest._components(code, np.array(list(map(len, texts))))
+    expected = [re.fullmatch(_REF_COMPONENT, t) is not None and -128 <= int(t) <= 127 for t in texts]
+    assert found.tolist() == expected and sum(expected) == 257
+    assert values[found].tolist() == [int(t) for t, ok in zip(texts, expected) if ok]
+    # A size of 0 or less matches no text.
+    found, _ = ingest._components(np.array([0, 0x37373737], np.uint32), np.array([0, -1]))
+    assert not found.any()
 
 
 # --- block edges -------------------------------------------------------------
